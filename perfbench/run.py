@@ -8,7 +8,9 @@ and waits for the answer.  Usage, from the root of a checkout:
         --seconds 20 --trace 0
     python3 perfbench/run.py --all            # every workload, one table
 
-``--trace 0`` measures the end-to-end metrics with tracing off.
+``--trace 0`` measures the end-to-end metrics with tracing off.  Times
+are CPU seconds of the benchmark process at a nominal machine speed
+(see ``cpu_clock`` and ``reference_slice``).
 ``--trace 1`` asks the first pass of the workload twice, traced and then
 untraced, and prints the per-layer split.  Every answer is checked
 after the timed region; the last line of standard output is one JSON
@@ -30,6 +32,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -39,6 +42,14 @@ WORK = os.path.join(HERE, ".work")
 EXPECTED = os.path.join(HERE, "expected_verdicts.json")
 DEFAULT_SEED = 0
 EXTRA_SETUPS = 4         # untimed set-ups after each pass, so setup_s is a median
+# The CPU of a shared virtual machine runs the same code up to 1.5 times
+# faster or slower for tens of seconds at a time.  A fixed reference
+# slice, run between questions, measures that speed; a run's times are
+# scaled to the speed at which one slice takes REF_NOMINAL_S.  One factor
+# per run, not per pass: a single slice varies too much, and a pass of
+# verify_suite (one question of several seconds) holds only three.
+REF_PERIOD_S = 0.05      # question CPU time between two reference slices
+REF_NOMINAL_S = 0.001
 WORKLOAD_NAMES = ("session_finite_exact", "session_finite_float",
                   "cli_polytope_exact", "verify_suite")
 
@@ -54,35 +65,78 @@ def import_library():
     return setopt
 
 
+def cpu_clock() -> float:
+    """CPU seconds used so far by this process and its waited-for children.
+
+    The library is single-threaded, CPU-bound Python, so on an idle
+    machine this advances with the wall clock.  On a shared virtual
+    machine it leaves out the time the host runs other guests on this
+    virtual CPU (steal), which wall-clock time counts.
+    """
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + children.ru_utime + children.ru_stime
+
+
+def reference_slice() -> float:
+    """CPU seconds of a fixed piece of pure-Python work (rational
+    arithmetic, as in the library's exact mode) that calls nothing in the
+    library, so a change to the library cannot change its cost.  Garbage
+    collection is off during the slice, so neither can the size of the
+    library's heap."""
+    enabled = gc.isenabled()
+    gc.disable()
+    started = cpu_clock()
+    acc = Fraction(0)
+    for i in range(1, 100):
+        acc += Fraction(i, i + 7) * Fraction(3, i + 1)
+        if acc > 5:
+            acc -= 5
+    seconds = cpu_clock() - started
+    if enabled:
+        gc.enable()
+    return seconds
+
+
 @dataclass
 class Record:
     sess: Any
     q: Any
-    seconds: float
+    cpu: float               # CPU seconds (cpu_clock)
+    wall: float
     answer: Any = None
     error: Any = None        # the exception; its type name once checked
+    seconds: float = 0.0     # cpu at the nominal speed in run_measured, else cpu
 
 
-def ask_all(wl, sessions, records, tracer=None):
+def ask_all(wl, sessions, records, tracer=None, slices=None):
+    """Ask every question; with ``slices``, append a reference slice
+    whenever REF_PERIOD_S of question CPU time has passed since the last."""
+    since = 0.0
     for sess in sessions:
         for q in sess.questions:
             span = tracer.open(tracer.QUESTION) if tracer else None
-            started = time.perf_counter()
+            wall, started = time.perf_counter(), cpu_clock()
             try:
                 answer, error = wl.ask(sess, q), None
             except Exception as exc:  # every failure is counted, none stops the run
                 answer, error = None, exc
-            seconds = time.perf_counter() - started
+            seconds = cpu_clock() - started
+            wall = time.perf_counter() - wall
             if tracer:
                 tracer.close(span)
-            records.append(Record(sess, q, seconds, answer, error))
+            records.append(Record(sess, q, seconds, wall, answer, error,
+                                  seconds))
+            since += seconds
+            if slices is not None and since >= REF_PERIOD_S:
+                slices.append(reference_slice())
+                since = 0.0
 
 
 def build(wl, seed, pass_idx, workdir, tracer=None):
     span = tracer.open(tracer.SETUP) if tracer else None
-    started = time.perf_counter()
+    started = cpu_clock()
     sessions = wl.build(seed, pass_idx, workdir)
-    seconds = time.perf_counter() - started
+    seconds = cpu_clock() - started
     if tracer:
         tracer.close(span)
     return sessions, seconds
@@ -171,14 +225,62 @@ def float_reference(seed):
 # Metrics
 # ---------------------------------------------------------------------------
 
-def percentile(sorted_values, q):
-    """Linear interpolation between closest ranks; inf stays inf."""
-    pos = (len(sorted_values) - 1) * q / 100
-    lo, hi = math.floor(pos), math.ceil(pos)
-    a, b = sorted_values[lo], sorted_values[hi]
-    if math.isinf(b):
-        return b
-    return a + (b - a) * (pos - lo)
+def _beta_cf(a, b, x):
+    """Continued fraction of the incomplete beta function (modified Lentz)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    return h
+
+
+def beta_cdf(x, a, b):
+    """Regularized incomplete beta function I_x(a, b)."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    if x > (a + 1) / (a + b + 2):
+        return 1.0 - beta_cdf(1.0 - x, b, a)
+    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                 + a * math.log(x) + b * math.log1p(-x))
+    return math.exp(log_front) * _beta_cf(a, b, x) / a
+
+
+def harrell_davis(sorted_values, q):
+    """Harrell-Davis estimate of the q-quantile (Biometrika 69, 1982): a
+    Beta-weighted mean of all order statistics.  Unlike a single order
+    statistic it moves smoothly when the quantile falls in a gap between
+    question kinds of very different cost."""
+    n = len(sorted_values)
+    a, b = (n + 1) * q, (n + 1) * (1 - q)
+    total, prev = 0.0, 0.0
+    for i, v in enumerate(sorted_values, 1):
+        cdf = beta_cdf(i / n, a, b)
+        total += (cdf - prev) * v
+        prev = cdf
+    return total
+
+
+def latency_quantile(values, q):
+    """The q-quantile of latencies in which a failed question (inf) is
+    slower than every answer: the Harrell-Davis estimate over the
+    answered questions at the matching quantile, or inf when the
+    quantile falls among the failed ones."""
+    finite = sorted(v for v in values if not math.isinf(v))
+    if q * len(values) >= len(finite):
+        return math.inf
+    return harrell_davis(finite, q * len(values) / len(finite))
 
 
 def tail_percentile(n):
@@ -190,19 +292,32 @@ def tail_percentile(n):
 
 def end_to_end(records, failed, setup_times, peak_rss_mb):
     from metrics import END_TO_END
-    lat = sorted(math.inf if r.q.qid in failed else r.seconds for r in records)
-    busy = sum(r.seconds for r in records)
-    good = sum(1 for r in records if r.q.qid not in failed)
-    tail = tail_percentile(len(lat))
+    tail = tail_percentile(len(records))
+
+    def timings(clock):
+        lat = [math.inf if r.q.qid in failed else clock(r) for r in records]
+        busy = sum(clock(r) for r in records)
+        good = sum(1 for r in records if r.q.qid not in failed)
+        return (busy, good / busy if busy else 0.0,
+                latency_quantile(lat, 0.5) * 1000,
+                latency_quantile(lat, tail / 100) * 1000)
+
+    busy, qps, p50, p90 = timings(lambda r: r.seconds)
     values = {
         "setup_s": statistics.median(setup_times),
-        "questions_per_s": good / busy if busy else 0.0,
-        "question_p50_ms": percentile(lat, 50) * 1000,
-        "question_p90_ms": percentile(lat, tail) * 1000,
+        "questions_per_s": qps,
+        "question_p50_ms": p50,
+        "question_p90_ms": p90,
         "peak_rss_mb": peak_rss_mb,
     }
-    notes = [f"samples={len(lat)} tail_percentile=p{tail} "
-             f"setup_samples={len(setup_times)} busy_s={busy:.3f}"]
+    wall_busy, wall_qps, wall_p50, wall_p90 = timings(lambda r: r.wall)
+    cpu_busy, cpu_qps, cpu_p50, cpu_p90 = timings(lambda r: r.cpu)
+    notes = [f"samples={len(records)} tail_percentile=p{tail} "
+             f"setup_samples={len(setup_times)} busy_s={busy:.3f}",
+             f"wall clock: busy_s={wall_busy:.3f} questions_per_s={wall_qps:.4g} "
+             f"question_p50_ms={wall_p50:.4g} question_p90_ms(p{tail})={wall_p90:.4g}",
+             f"cpu clock: busy_s={cpu_busy:.3f} questions_per_s={cpu_qps:.4g} "
+             f"question_p50_ms={cpu_p50:.4g} question_p90_ms(p{tail})={cpu_p90:.4g}"]
     return {k: {"value": values[k], "unit": u} for k, u in END_TO_END.items()}, notes
 
 
@@ -234,12 +349,15 @@ def run_measured(wl, seed, seconds, workdir, corrupt=False):
     peak_rss_mb = 0.0
     timed = 0.0
     pass_idx = 0
+    slices = []
     while pass_idx == 0 or timed < seconds:
         started = time.perf_counter()
+        slices.append(reference_slice())
         sessions, s = build(wl, seed, pass_idx, workdir)
         setup_times.append(s)
         pass_records = []
-        ask_all(wl, sessions, pass_records)
+        ask_all(wl, sessions, pass_records, slices=slices)
+        slices.append(reference_slice())
         timed += time.perf_counter() - started
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         check(wl, pass_records, corrupt and pass_idx == 0, gate, digests)
@@ -258,8 +376,14 @@ def run_measured(wl, seed, seconds, workdir, corrupt=False):
     if seed == DEFAULT_SEED:
         compare_digests(gate, digests, expected_for(wl.name),
                         "the recorded verdict")
+    scale = REF_NOMINAL_S / statistics.mean(slices)
+    for rec in records:
+        rec.seconds = rec.cpu * scale
+    setup_times = [s * scale for s in setup_times]
     failed = failed_ids(records, gate)
     metrics, notes = end_to_end(records, failed, setup_times, peak_rss_mb)
+    notes.append(f"speed scale to nominal: {scale:.4f} from {len(slices)} "
+                 f"reference slices")
     notes.append(f"passes={pass_idx} "
                  f"failed_frac={count_failed(records, failed) / len(records):.4f}"
                  f" refused={sum(r.error is not None for r in records)}")

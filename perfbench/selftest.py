@@ -55,7 +55,21 @@ def expect_metrics(result, declared, what):
             (what, name, m)
 
 
+def check_quantiles():
+    """The Harrell-Davis estimate against values computed with
+    ``scipy.stats.mstats.hdquantiles``, and the failed-question rule."""
+    sys.path.insert(0, HERE)
+    from run import latency_quantile
+
+    assert abs(latency_quantile([1, 2, 3, 50, 60], 0.5) - 18.12352) < 1e-4
+    assert abs(latency_quantile([3, 1, 2, 60, 50], 0.5) - 18.12352) < 1e-4
+    assert latency_quantile([1, 2, 3, math.inf], 0.9) == math.inf
+    assert latency_quantile([1, 2, 3, math.inf], 0.5) < 3
+    print("ok quantiles: Harrell-Davis estimate and failed questions")
+
+
 def main() -> int:
+    check_quantiles()
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     assert [w["name"] for w in spec["workloads"]] == list(WORKLOADS)
