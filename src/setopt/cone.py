@@ -32,9 +32,7 @@ class Cone:
     rows: tuple  # J x m, rows a_j of the H-representation
     e: tuple     # interior direction, A e > 0
     m: int
-
-    def row_dot_e(self) -> tuple:
-        return tuple(dot(row, self.e) for row in self.rows)
+    row_e: tuple  # a_j.e per row, positive; fixed once by validate_cone
 
 
 def _rank(rows, m, tol) -> int:
@@ -86,19 +84,20 @@ def validate_cone(rows, e, tol=None) -> Cone:
             raise ValidationError(f"non-finite entry in cone row {j}")
         if all(abs(v) <= tol for v in row):
             raise ZeroRow(f"cone row {j} is zero")
-    for j, row in enumerate(rows):
-        if dot(row, e) <= tol:
+    row_e = tuple(dot(row, e) for row in rows)
+    for j, de in enumerate(row_e):
+        if de <= tol:
             raise NotInterior(f"row {j} has a_j.e <= 0; e is not interior")
     if _rank(rows, m, tol) < m:
         raise NotPointed(f"cone rows have rank < {m}; cone is not pointed")
-    return Cone(rows=rows, e=e, m=m)
+    return Cone(rows=rows, e=e, m=m, row_e=row_e)
 
 
 def margin(y_from: Vec, y_to: Vec, cone: Cone) -> Num:
     """Largest eps with ``y_from <=_K y_to - eps*e`` (may be negative)."""
     d = vsub(y_to, y_from)
     return min(div(dot(row, d), de)
-               for row, de in zip(cone.rows, cone.row_dot_e()))
+               for row, de in zip(cone.rows, cone.row_e))
 
 
 def r_epsilon_sq(cone: Cone, eps: Num, gamma: Num = DEFAULT_GAMMA) -> Num:
@@ -111,7 +110,8 @@ def r_epsilon_sq(cone: Cone, eps: Num, gamma: Num = DEFAULT_GAMMA) -> Num:
         raise ValidationError("eps must be positive")
     if not 0 < gamma < 1:
         raise ValidationError("gamma must lie strictly between 0 and 1")
-    ratio_sq = min(div(dot(row, cone.e) ** 2, norm_sq(row)) for row in cone.rows)
+    ratio_sq = min(div(de ** 2, norm_sq(row))
+                   for row, de in zip(cone.rows, cone.row_e))
     return (gamma * eps) ** 2 * ratio_sq
 
 

@@ -114,11 +114,10 @@ def point_margin_with_multipliers(b: Vec, image: ImageSet, cone: Cone,
         return max(margin(a, b, cone) for a in image.points), None
     verts = image.points
     k = len(verts)
-    row_e = cone.row_dot_e()
     # max eps  s.t.  sum(lam) = 1,  A(b - eps*e - V lam) >= 0,  lam >= 0
     ge_lhs = []
     ge_rhs = []
-    for row, de in zip(cone.rows, row_e):
+    for row, de in zip(cone.rows, cone.row_e):
         ge_lhs.append(tuple([-de] + [-dot(row, v) for v in verts]))
         ge_rhs.append(-dot(row, b))
     prog = LinearProgram(

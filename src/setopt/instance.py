@@ -16,13 +16,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arith import (Num, as_float, div, dot, format_vector, parse_number)
+from .arith import (Num, as_float, div, dot, format_vector, parse_number,
+                    resolve_tol)
 from .cone import Cone, validate_cone
 from .errors import (DimMismatch, DuplicateLabel, EmptyImage, ParseError,
                      ValidationError)
 from .imagesets import (FINITE, POLYTOPE, ImageSet, cover_by_sq_radius,
-                        finite_set, hausdorff_sq, polytope,
-                        prune_to_extreme)
+                        finite_set, hausdorff_sq, min_elements,
+                        minimal_vertices, point_margin_with_multipliers,
+                        polytope, prune_to_extreme)
 
 EXAMPLE_NAMES = ("t_one", "strict_min", "cantor", "mfdvp", "mfdvp_polytope",
                  "random_finite", "convex_polyhedral")
@@ -41,6 +43,10 @@ class Instance:
     images: tuple               # ImageSet, ... parallel to decisions
     metadata: dict = field(default_factory=dict, hash=False)
     exact: bool = False
+    # tol -> (point margins per image, candidate pools), filled on first
+    # use; the fields they derive from are immutable, so none goes stale
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def n(self) -> int:
@@ -62,6 +68,39 @@ class Instance:
 
     def image_of(self, label: str) -> ImageSet:
         return self.images[self.index_of(label)]
+
+    def resolve_tol(self, tol, eps: Num = 0) -> Num:
+        """``tol`` itself, else 0 when eps and every image coordinate
+        are rational and the float default otherwise."""
+        return resolve_tol(tol, eps, *(v for img in self.images
+                                       for p in img.points for v in p))
+
+    def _tables(self, tol):
+        """(point margins per image, pools) at tol, made on first use."""
+        tables = self._memo.get(tol)
+        if tables is None:
+            tables = self._memo[tol] = ([{} for _ in self.images], {})
+        return tables
+
+    def point_margin(self, j: int, point: tuple, tol):
+        """``point_margin_with_multipliers`` of ``point`` against image
+        ``j``, computed once per tol."""
+        margins = self._tables(tol)[0][j]
+        if point not in margins:
+            margins[point] = point_margin_with_multipliers(
+                point, self.images[j], self.cone, tol)
+        return margins[point]
+
+    def pool(self, i: int, tol) -> tuple:
+        """Minimal points of finite image ``i``, or the minimal vertices
+        of a polytope, computed once per tol."""
+        pools = self._tables(tol)[1]
+        if i not in pools:
+            img = self.images[i]
+            pools[i] = (min_elements(img, self.cone, weak=False, tol=tol)
+                        if img.is_finite
+                        else minimal_vertices(img, self.cone, tol))
+        return pools[i]
 
 
 def build_instance(cone: Cone, decisions, images, metadata=None,

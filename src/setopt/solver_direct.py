@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .arith import Num, format_number, ge, gt, resolve_tol
+from .arith import Num, format_number, ge, gt
 from .errors import ValidationError
 from .instance import Instance
 from .setrelations import (LOWER, LOWER_STRICT, LOWER_STRONG,
-                           RelationCertificate, set_margin, set_relation)
+                           RelationCertificate, set_relation)
 
 WEAK = "weak"
 TYPE_ONE = "type1"
@@ -69,16 +69,16 @@ class SolutionReport:
         return out
 
 
-def _tol_for(inst: Instance, tol, eps) -> Num:
-    return resolve_tol(tol, eps, *(v for img in inst.images
-                                   for p in img.points for v in p))
+def _set_margin(inst: Instance, i: int, j: int, tol) -> Num:
+    """set_margin(F(x_i), F(x_j)) from the instance's point margins."""
+    return min(inst.point_margin(i, pt, tol)[0] for pt in inst.images[j].points)
 
 
 def margin_matrix(inst: Instance, tol=None):
     """S[i][k] = set_margin(F(x_i), F(x_k)) for all decision pairs."""
+    tol = inst.resolve_tol(tol)
     k = len(inst.images)
-    return [[set_margin(inst.images[i], inst.images[j], inst.cone, tol)
-             for j in range(k)] for i in range(k)]
+    return [[_set_margin(inst, i, j, tol) for j in range(k)] for i in range(k)]
 
 
 def weak_threshold(inst: Instance, tol=None) -> dict:
@@ -96,29 +96,25 @@ def solve_direct(inst: Instance, concept: str, eps: Num = 0,
         raise ValidationError(f"unknown concept {concept!r}")
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
-    tol = _tol_for(inst, tol, eps)
+    tol = inst.resolve_tol(tol, eps)
     labels = inst.labels
     k = len(labels)
     members = []
     certificates = {}
     thresholds = None
 
-    if concept in (WEAK, TYPE_ONE):
-        mat = margin_matrix(inst, tol)
-
     if concept == WEAK:
-        thresholds = {labels[j]: max(mat[i][j] for i in range(k))
-                      for j in range(k)}
+        thresholds = weak_threshold(inst, tol)
         for j in range(k):
-            dominator = next((i for i in range(k) if gt(mat[i][j], eps, tol)),
-                             None)
-            if dominator is None:
+            if not gt(thresholds[labels[j]], eps, tol):
                 members.append(labels[j])
-            else:
-                _, cert = set_relation(inst.images[dominator], inst.images[j],
-                                       inst.cone, LOWER_STRICT, eps, tol)
-                certificates[labels[j]] = ExclusionCertificate(
-                    labels[dominator], cert)
+                continue
+            dominator = next(i for i in range(k)
+                             if gt(_set_margin(inst, i, j, tol), eps, tol))
+            _, cert = set_relation(inst.images[dominator], inst.images[j],
+                                   inst.cone, LOWER_STRICT, eps, tol)
+            certificates[labels[j]] = ExclusionCertificate(
+                labels[dominator], cert)
     elif concept == TYPE_TWO:
         for j in range(k):
             excluded = None
@@ -133,6 +129,7 @@ def solve_direct(inst: Instance, concept: str, eps: Num = 0,
             else:
                 certificates[labels[j]] = excluded
     else:  # TYPE_ONE
+        mat = margin_matrix(inst, tol)
         for j in range(k):
             violator = None
             for i in range(k):

@@ -32,12 +32,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .arith import Num, Vec, div, format_number, format_vector, ge, gt, \
-    resolve_tol, veq, vscale, vsub
+    veq, vscale, vsub
 from .cone import DEFAULT_GAMMA, in_dual_cone, margin, r_epsilon_sq
 from .errors import CapExceeded, ValidationError, WeightNotInDualCone
-from .imagesets import (cover_by_sq_radius, min_elements, minimal_vertices,
-                        point_margin_with_multipliers,
-                        strong_membership_slack)
+from .imagesets import cover_by_sq_radius, strong_membership_slack
 from .instance import Instance
 from .solver_direct import WEAK as DIRECT_WEAK
 from .solver_direct import solve_direct
@@ -139,28 +137,6 @@ class MinimalPResult:
         }
 
 
-class _MarginCache:
-    """Point margins against every competitor image, memoized; every
-    shifted comparison afterwards is a threshold on these numbers."""
-
-    def __init__(self, inst: Instance, tol):
-        self.inst = inst
-        self.tol = tol
-        self._pm = {}
-
-    def pm(self, j: int, point: tuple):
-        key = (j, point)
-        if key not in self._pm:
-            self._pm[key] = point_margin_with_multipliers(
-                point, self.inst.images[j], self.inst.cone, self.tol)
-        return self._pm[key]
-
-
-def _instance_tol(inst: Instance, tol, eps) -> Num:
-    return resolve_tol(tol, eps, *(v for img in inst.images
-                                   for p in img.points for v in p))
-
-
 def candidate_pool(inst: Instance, label: str, p: Optional[int] = None,
                    tol=None) -> PoolResult:
     """Minimal points (finite image) or minimal vertices (polytope).
@@ -168,13 +144,10 @@ def candidate_pool(inst: Instance, label: str, p: Optional[int] = None,
     Finite pools certify membership at every budget; polytope pools
     are complete only once the budget reaches the pool size.
     """
-    tol = _instance_tol(inst, tol, 0)
-    img = inst.image_of(label)
-    if img.is_finite:
-        return PoolResult(min_elements(img, inst.cone, weak=False, tol=tol),
-                          True)
-    pool = minimal_vertices(img, inst.cone, tol)
-    return PoolResult(pool, p is not None and p >= len(pool))
+    idx = inst.index_of(label)
+    pool = inst.pool(idx, inst.resolve_tol(tol))
+    complete = inst.images[idx].is_finite or (p is not None and p >= len(pool))
+    return PoolResult(pool, complete)
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +227,14 @@ def _shifted(point: Vec, eps: Num, cone) -> tuple:
     return vsub(point, vscale(eps, cone.e))
 
 
-def _strict_witness(inst, j, point, eps, tol, cache) -> ComponentWitness:
+def _strict_witness(inst, j, point, eps, tol) -> ComponentWitness:
     img = inst.images[j]
     if img.is_finite:
         for y in img.points:
             if gt(margin(y, point, inst.cone), eps, tol):
                 return ComponentWitness(point=y)
         raise RuntimeError("internal: strict witness requested but absent")
-    _, lam = cache.pm(j, point)
+    _, lam = inst.point_margin(j, point, tol)
     return ComponentWitness(multipliers=lam)
 
 
@@ -272,7 +245,7 @@ def _weak_witness(inst, j, point, eps, tol) -> ComponentWitness:
             if ge(margin(y, point, inst.cone), eps, tol):
                 return ComponentWitness(point=y)
         raise RuntimeError("internal: weak witness requested but absent")
-    mu, lam = point_margin_with_multipliers(point, img, inst.cone, tol)
+    _, lam = inst.point_margin(j, point, tol)
     return ComponentWitness(multipliers=lam)
 
 
@@ -285,24 +258,24 @@ def _extra_witness(inst, j, point, eps, tol) -> ComponentWitness:
     return ComponentWitness(point=wpoint, multipliers=lam)
 
 
-def _weak_tables(inst, pool, eps, tol, cache):
+def _weak_tables(inst, pool, eps, tol):
     """Escape sets: C[j] = pool indices not strictly dominated by x_j."""
     escape = []
     for j in range(len(inst.decisions)):
         escape.append(frozenset(
             i for i, q in enumerate(pool)
-            if not gt(cache.pm(j, q)[0], eps, tol)))
+            if not gt(inst.point_margin(j, q, tol)[0], eps, tol)))
     return escape
 
 
-def _min_tables(inst, pool, eps, tol, cache):
+def _min_tables(inst, pool, eps, tol):
     k = len(inst.decisions)
     weakdom = [[False] * len(pool) for _ in range(k)]
     extra = [[False] * len(pool) for _ in range(k)]
     for j in range(k):
         img = inst.images[j]
         for i, q in enumerate(pool):
-            if not ge(cache.pm(j, q)[0], eps, tol):
+            if not ge(inst.point_margin(j, q, tol)[0], eps, tol):
                 continue
             weakdom[j][i] = True
             if img.is_finite:
@@ -325,14 +298,14 @@ def _pad(points, p):
     return tuple(pts[:p])
 
 
-def _weak_decide(inst, idx, pool, p, eps, tol, cache, hitting_cap):
+def _weak_decide(inst, idx, pool, p, eps, tol, hitting_cap):
     label = inst.decisions[idx].label
     labels = inst.labels
-    escape = _weak_tables(inst, pool, eps, tol, cache)
+    escape = _weak_tables(inst, pool, eps, tol)
     for j, esc in enumerate(escape):
         if not esc:
             canonical = _pad(pool[:min(p, len(pool))], p)
-            witnesses = tuple(_strict_witness(inst, j, q, eps, tol, cache)
+            witnesses = tuple(_strict_witness(inst, j, q, eps, tol)
                               for q in canonical)
             return TupleCertificate(label, canonical, False,
                                     dominated_by=labels[j],
@@ -350,7 +323,7 @@ def _weak_decide(inst, idx, pool, p, eps, tol, cache, hitting_cap):
     canonical = _pad([pool[i] for i in canonical_idx], p)
     dominator = next(j for j, esc in enumerate(escape)
                      if not (esc & set(canonical_idx)))
-    witnesses = tuple(_strict_witness(inst, dominator, q, eps, tol, cache)
+    witnesses = tuple(_strict_witness(inst, dominator, q, eps, tol)
                       for q in canonical)
     return TupleCertificate(label, canonical, False,
                             dominated_by=labels[dominator],
@@ -361,38 +334,48 @@ def _min_count(pool_size, kmax):
     return sum(math.comb(pool_size, s) for s in range(1, kmax + 1))
 
 
-def _min_decide(inst, idx, pool, p, eps, tol, cache, subset_cap):
+def _dominator(subset, weakdom, extra):
+    """First competitor dominating the pool-index subset, or None."""
+    return next((j for j in range(len(weakdom))
+                 if all(weakdom[j][i] for i in subset)
+                 and any(extra[j][i] for i in subset)), None)
+
+
+def _first_survivor(pool_size, kmax, weakdom, extra):
+    """Smallest, then lexicographically first, subset of at most kmax
+    pool indices that no competitor dominates; None if there is none."""
+    for size in range(1, kmax + 1):
+        for subset in itertools.combinations(range(pool_size), size):
+            if _dominator(subset, weakdom, extra) is None:
+                return subset
+    return None
+
+
+def _min_member(inst, idx, pool, subset, p, weakdom):
+    """Member certificate for a surviving subset padded to budget p."""
+    pool_idx = _pad(list(subset), p)
+    surviving = {}
+    for j, lab in enumerate(inst.labels):
+        pos = next((t for t in range(p) if not weakdom[j][pool_idx[t]]), None)
+        surviving[lab] = -1 if pos is None else pos
+    return TupleCertificate(inst.decisions[idx].label,
+                            _pad([pool[i] for i in subset], p), True,
+                            surviving=surviving)
+
+
+def _min_decide(inst, idx, pool, p, eps, tol, subset_cap):
     label = inst.decisions[idx].label
-    labels = inst.labels
-    weakdom, extra = _min_tables(inst, pool, eps, tol, cache)
-    k = len(inst.decisions)
+    weakdom, extra = _min_tables(inst, pool, eps, tol)
     kmax = min(p, len(pool))
     if _min_count(len(pool), kmax) > subset_cap:
         raise CapExceeded(
             f"min-kind subset enumeration for {label!r} exceeds cap {subset_cap}")
-
-    def dominator_of(subset):
-        for j in range(k):
-            if all(weakdom[j][i] for i in subset) and \
-                    any(extra[j][i] for i in subset):
-                return j
-        return None
-
-    for size in range(1, kmax + 1):
-        for subset in itertools.combinations(range(len(pool)), size):
-            if dominator_of(subset) is None:
-                tuple_pts = _pad([pool[i] for i in subset], p)
-                pool_idx = _pad(list(subset), p)
-                surviving = {}
-                for j in range(k):
-                    pos = next((t for t in range(p)
-                                if not weakdom[j][pool_idx[t]]), None)
-                    surviving[labels[j]] = -1 if pos is None else pos
-                return TupleCertificate(label, tuple_pts, True,
-                                        surviving=surviving)
+    subset = _first_survivor(len(pool), kmax, weakdom, extra)
+    if subset is not None:
+        return _min_member(inst, idx, pool, subset, p, weakdom)
     canonical_idx = tuple(range(kmax))
     canonical = _pad([pool[i] for i in canonical_idx], p)
-    dom = dominator_of(canonical_idx)
+    dom = _dominator(canonical_idx, weakdom, extra)
     witnesses = [None] * p
     strict_pos = None
     pool_idx = _pad(list(canonical_idx), p)
@@ -404,7 +387,7 @@ def _min_decide(inst, idx, pool, p, eps, tol, cache, subset_cap):
             strict_pos = t
             break
     return TupleCertificate(label, canonical, False,
-                            dominated_by=labels[dom],
+                            dominated_by=inst.labels[dom],
                             witnesses=tuple(witnesses),
                             strict_component=strict_pos)
 
@@ -419,8 +402,7 @@ def membership_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
         raise ValidationError("budget p must be at least 1")
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
-    tol = _instance_tol(inst, tol, eps)
-    cache = _MarginCache(inst, tol)
+    tol = inst.resolve_tol(tol, eps)
     members = []
     certificates = {}
     incomplete = []
@@ -429,11 +411,10 @@ def membership_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
         if not pr.complete:
             incomplete.append(dec.label)
         if kind == VP_WEAK:
-            cert = _weak_decide(inst, idx, pr.points, p, eps, tol, cache,
+            cert = _weak_decide(inst, idx, pr.points, p, eps, tol,
                                 hitting_cap)
         else:
-            cert = _min_decide(inst, idx, pr.points, p, eps, tol, cache,
-                               subset_cap)
+            cert = _min_decide(inst, idx, pr.points, p, eps, tol, subset_cap)
         certificates[dec.label] = cert
         if cert.member:
             members.append(dec.label)
@@ -450,15 +431,12 @@ def minimal_p(inst: Instance, label: str, eps: Num = 0, kind: str = VP_WEAK,
         raise ValidationError(f"unknown vectorization kind {kind!r}")
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
-    tol = _instance_tol(inst, tol, eps)
-    cache = _MarginCache(inst, tol)
+    tol = inst.resolve_tol(tol, eps)
     idx = inst.index_of(label)
-    img = inst.images[idx]
-    pr = candidate_pool(inst, label, None, tol)
-    pool = pr.points
-    incomplete = not img.is_finite
+    pool = inst.pool(idx, tol)
+    incomplete = not inst.images[idx].is_finite
     if kind == VP_WEAK:
-        escape = _weak_tables(inst, pool, eps, tol, cache)
+        escape = _weak_tables(inst, pool, eps, tol)
         for j, esc in enumerate(escape):
             if not esc:
                 # every pool element strictly dominated: no tuple at any
@@ -468,29 +446,22 @@ def minimal_p(inst: Instance, label: str, eps: Num = 0, kind: str = VP_WEAK,
                                       incomplete=False)
         hit = min_hitting_set(escape, cap=hitting_cap)
         p_star = len(hit)
-        cert = _weak_decide(inst, idx, pool, p_star, eps, tol, cache,
-                            hitting_cap)
+        cert = _weak_decide(inst, idx, pool, p_star, eps, tol, hitting_cap)
         # vertex pools make p_star an upper bound only: a non-vertex
         # minimal point could hit more escape sets at once
         return MinimalPResult(label, kind, eps, never=False, p_star=p_star,
                               witness=cert,
                               incomplete=incomplete and p_star > 1)
-    weakdom, extra = _min_tables(inst, pool, eps, tol, cache)
+    weakdom, extra = _min_tables(inst, pool, eps, tol)
     if _min_count(len(pool), len(pool)) > subset_cap:
         raise CapExceeded(f"subset enumeration for {label!r} exceeds cap")
-    k = len(inst.decisions)
-    for size in range(1, len(pool) + 1):
-        for subset in itertools.combinations(range(len(pool)), size):
-            dominated = any(
-                all(weakdom[j][i] for i in subset) and
-                any(extra[j][i] for i in subset)
-                for j in range(k))
-            if not dominated:
-                cert = _min_decide(inst, idx, pool, size, eps, tol, cache,
-                                   subset_cap)
-                return MinimalPResult(label, kind, eps, never=False,
-                                      p_star=size, witness=cert,
-                                      incomplete=incomplete and size > 1)
+    subset = _first_survivor(len(pool), len(pool), weakdom, extra)
+    if subset is not None:
+        size = len(subset)
+        return MinimalPResult(
+            label, kind, eps, never=False, p_star=size,
+            witness=_min_member(inst, idx, pool, subset, size, weakdom),
+            incomplete=incomplete and size > 1)
     # vertex pools cannot certify a Never verdict for the min kind:
     # non-vertex tuples remain unexplored
     return MinimalPResult(label, kind, eps, never=True,
@@ -510,7 +481,7 @@ def covering_p_bound(inst: Instance, label: str, eps: Num,
     img = inst.image_of(label)
     if not img.is_finite:
         raise ValidationError("covering budgets need a finite image")
-    tol = _instance_tol(inst, tol, eps)
+    tol = inst.resolve_tol(tol, eps)
     radius_sq = div(r_epsilon_sq(inst.cone, eps, gamma), 4)
     return cover_by_sq_radius(img.points, radius_sq, tol=tol).count
 
@@ -551,7 +522,7 @@ def solve_weighted_sum(inst: Instance, p: int, weights, tol=None):
         raise ValidationError(f"expected {p} weight vectors, got {len(weights)}")
     if all(all(v == 0 for v in w) for w in weights):
         raise ValidationError("weights must not all be zero")
-    tol = _instance_tol(inst, tol, 0)
+    tol = inst.resolve_tol(tol)
     for w in weights:
         if len(w) != inst.m:
             raise ValidationError("weight dimension differs from image dimension")
@@ -598,7 +569,7 @@ def brute_force_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
         raise ValidationError("budget p must be at least 1")
     if any(not img.is_finite for img in inst.images):
         raise ValidationError("the brute-force oracle needs finite images")
-    tol = _instance_tol(inst, tol, eps)
+    tol = inst.resolve_tol(tol, eps)
     total = sum(len(img.points) ** p for img in inst.images)
     if total > cap:
         raise CapExceeded(f"{total} candidate tuples exceed cap {cap}")

@@ -11,6 +11,7 @@ because the grid restriction breaks its convexity hypothesis.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -119,10 +120,19 @@ def _polytope_instances(config: SuiteConfig):
     return out
 
 
-def _result(name, inst_id, passed, counterexample=None, hard=True,
-            started=None):
-    return CheckResult(name, inst_id, passed, hard, counterexample,
-                       0.0 if started is None else time.perf_counter() - started)
+def _run(name, inst_id, law, *args) -> CheckResult:
+    """Time one hard check; ``law(*args)`` returns its counterexample,
+    or ``None`` when the law holds."""
+    started = time.perf_counter()
+    ce = law(*args)
+    return CheckResult(name, inst_id, ce is None, counterexample=ce,
+                       seconds=time.perf_counter() - started)
+
+
+def _per_instance(laws, instances, *args) -> list:
+    """Every ``(name, law)`` on every instance, instance by instance."""
+    return [_run(name, inst_id, law, inst, *args)
+            for inst_id, inst in instances for name, law in laws]
 
 
 # ---------------------------------------------------------------------------
@@ -189,41 +199,31 @@ def _solve_square(rows, rhs, cols):
     return [a[i][-1] for i in range(r)]
 
 
-def _check_lp(config: SuiteConfig):
-    results = []
-    for seed in config.seeds:
-        rng = random.Random(seed * 7919)
-        started = time.perf_counter()
-        ok, ce = True, None
-        for trial in range(8):
-            prog = _random_standard_lp(rng)
-            feas = lp_feasible(prog, tol=0)
-            zero = LinearProgram(objective=(Fraction(0),) * prog.num_vars,
-                                 eq_lhs=prog.eq_lhs, eq_rhs=prog.eq_rhs,
-                                 lower_bounds=prog.lower_bounds)
-            out0 = lp_maximize(zero, tol=0)
-            if feas.feasible != out0.is_optimal:
-                ok, ce = False, {"trial": trial, "law": "two-phase"}
-                break
-            out = lp_maximize(prog, tol=0)
-            out_again = lp_maximize(prog, tol=0)
-            if (out.status, out.value) != (out_again.status, out_again.value):
-                ok, ce = False, {"trial": trial, "law": "determinism"}
-                break
-            oracle = _enumerate_basic_optimum(prog)
-            if out.is_optimal:
-                if oracle is None or out.value != oracle:
-                    ok, ce = False, {"trial": trial, "law": "basic-solution",
-                                     "simplex": format_number(out.value),
-                                     "oracle": None if oracle is None
-                                     else format_number(oracle)}
-                    break
-            elif out.status == "infeasible" and oracle is not None:
-                ok, ce = False, {"trial": trial, "law": "infeasible-vs-basic"}
-                break
-        results.append(_result("lp_simplex_vs_basic_enumeration",
-                               f"seed={seed}", ok, ce, started=started))
-    return results
+def _lp_simplex_vs_basic_enumeration(seed):
+    rng = random.Random(seed * 7919)
+    for trial in range(8):
+        prog = _random_standard_lp(rng)
+        feas = lp_feasible(prog, tol=0)
+        zero = LinearProgram(objective=(Fraction(0),) * prog.num_vars,
+                             eq_lhs=prog.eq_lhs, eq_rhs=prog.eq_rhs,
+                             lower_bounds=prog.lower_bounds)
+        out0 = lp_maximize(zero, tol=0)
+        if feas.feasible != out0.is_optimal:
+            return {"trial": trial, "law": "two-phase"}
+        out = lp_maximize(prog, tol=0)
+        out_again = lp_maximize(prog, tol=0)
+        if (out.status, out.value) != (out_again.status, out_again.value):
+            return {"trial": trial, "law": "determinism"}
+        oracle = _enumerate_basic_optimum(prog)
+        if out.is_optimal:
+            if oracle is None or out.value != oracle:
+                return {"trial": trial, "law": "basic-solution",
+                        "simplex": format_number(out.value),
+                        "oracle": None if oracle is None
+                        else format_number(oracle)}
+        elif out.status == "infeasible" and oracle is not None:
+            return {"trial": trial, "law": "infeasible-vs-basic"}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -238,318 +238,267 @@ def _suite_cones(exact):
     return [("orthant", orthant), ("skew", skew)]
 
 
-def _check_cone(config: SuiteConfig):
-    results = []
-    tol = 0 if config.exact else 1e-9
-    for cone_id, cone in _suite_cones(config.exact):
-        rng = random.Random(101)
-        started = time.perf_counter()
-        ok, ce = True, None
-        for trial in range(60):
-            pts = [tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-                         for _ in range(2)) for _ in range(3)]
-            if not config.exact:
-                pts = [tuple(float(v) for v in p) for p in pts]
-            a, b, c = pts
-            m_ac = margin(a, c, cone)
-            m_ab = margin(a, b, cone)
-            m_bc = margin(b, c, cone)
-            if m_ac < m_ab + m_bc - tol:
-                ok, ce = False, {"law": "superadditivity", "trial": trial}
-                break
-            shift = pts[0]
-            lhs = margin(tuple(x + s for x, s in zip(a, shift)),
-                         tuple(x + s for x, s in zip(b, shift)), cone)
-            if abs(lhs - m_ab) > tol:
-                ok, ce = False, {"law": "translation", "trial": trial}
-                break
-            diff = tuple(y - x for x, y in zip(a, b))
-            in_cone = all(dot(row, diff) >= -tol for row in cone.rows)
-            in_int = all(dot(row, diff) > tol for row in cone.rows)
-            if ge(m_ab, 0, tol) != in_cone or gt(m_ab, 0, tol) != in_int:
-                ok, ce = False, {"law": "order-consistency", "trial": trial}
-                break
-        results.append(_result("cone_margin_laws", cone_id, ok, ce,
-                               started=started))
+def _cone_margin_laws(cone, exact):
+    tol = 0 if exact else 1e-9
+    rng = random.Random(101)
+    for trial in range(60):
+        pts = [tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+                     for _ in range(2)) for _ in range(3)]
+        if not exact:
+            pts = [tuple(float(v) for v in p) for p in pts]
+        a, b, c = pts
+        m_ac = margin(a, c, cone)
+        m_ab = margin(a, b, cone)
+        m_bc = margin(b, c, cone)
+        if m_ac < m_ab + m_bc - tol:
+            return {"law": "superadditivity", "trial": trial}
+        shift = pts[0]
+        lhs = margin(tuple(x + s for x, s in zip(a, shift)),
+                     tuple(x + s for x, s in zip(b, shift)), cone)
+        if abs(lhs - m_ab) > tol:
+            return {"law": "translation", "trial": trial}
+        diff = tuple(y - x for x, y in zip(a, b))
+        in_cone = all(dot(row, diff) >= -tol for row in cone.rows)
+        in_int = all(dot(row, diff) > tol for row in cone.rows)
+        if ge(m_ab, 0, tol) != in_cone or gt(m_ab, 0, tol) != in_int:
+            return {"law": "order-consistency", "trial": trial}
+    return None
 
-        started = time.perf_counter()
-        import math
-        eps = Fraction(2) if config.exact else 2.0
-        r = r_epsilon(cone, eps)
-        center = [as_float(v) * as_float(eps) for v in cone.e]
-        ok, ce = True, None
-        for i in range(1000):
-            ang = 2 * math.pi * i / 1000
-            pt = (center[0] + r * math.cos(ang), center[1] + r * math.sin(ang))
-            if any(sum(as_float(rv) * pv for rv, pv in zip(row, pt)) <= 0
-                   for row in cone.rows):
-                ok, ce = False, {"law": "ball-containment", "sample": i}
-                break
-        results.append(_result("cone_safe_ball_containment", cone_id, ok, ce,
-                               started=started))
-    return results
+
+def _cone_safe_ball_containment(cone, exact):
+    eps = Fraction(2) if exact else 2.0
+    r = r_epsilon(cone, eps)
+    center = [as_float(v) * as_float(eps) for v in cone.e]
+    for i in range(1000):
+        ang = 2 * math.pi * i / 1000
+        pt = (center[0] + r * math.cos(ang), center[1] + r * math.sin(ang))
+        if any(sum(as_float(rv) * pv for rv, pv in zip(row, pt)) <= 0
+               for row in cone.rows):
+            return {"law": "ball-containment", "sample": i}
+    return None
+
+
+CONE_LAWS = (("cone_margin_laws", _cone_margin_laws),
+             ("cone_safe_ball_containment", _cone_safe_ball_containment))
 
 
 # ---------------------------------------------------------------------------
 # Image-set checks
 # ---------------------------------------------------------------------------
 
-def _check_imagesets(config: SuiteConfig, finite_instances):
-    results = []
-    for inst_id, inst in finite_instances:
-        started = time.perf_counter()
-        ok, ce = True, None
-        for dec, img in zip(inst.decisions, inst.images):
-            mins = set(imagesets.min_elements(img, inst.cone, weak=False))
-            weaks = set(imagesets.min_elements(img, inst.cone, weak=True))
-            if not (mins <= weaks <= set(img.points)):
-                ok, ce = False, {"law": "min-chain", "label": dec.label}
-                break
-            if not imagesets.domination_check(img, inst.cone):
-                ok, ce = False, {"law": "domination", "label": dec.label}
-                break
-        results.append(_result("images_minimality_and_domination", inst_id,
-                               ok, ce, started=started))
-
-        started = time.perf_counter()
-        ok, ce = True, None
-        eps_list = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)]
-        if not inst.exact:
-            eps_list = [float(e) for e in eps_list]
-        for dec, img in zip(inst.decisions, inst.images):
-            prev = None
-            for eps in eps_list:
-                res = imagesets.covering_number_internal(img, eps)
-                greedy = imagesets.covering_number_internal(img, eps,
-                                                            exact_cap=0)
-                if res.count > greedy.count:
-                    ok, ce = False, {"law": "exact<=greedy", "label": dec.label}
-                    break
-                if not set(res.centers) <= set(img.points):
-                    ok, ce = False, {"law": "centers-subset", "label": dec.label}
-                    break
-                covered = all(
-                    any(sum((a - c) ** 2 for a, c in zip(p, ctr)) <= eps * eps
-                        for ctr in res.centers) for p in img.points)
-                if not covered:
-                    ok, ce = False, {"law": "covers", "label": dec.label}
-                    break
-                if prev is not None and res.count > prev:
-                    ok, ce = False, {"law": "monotone-in-eps", "label": dec.label}
-                    break
-                prev = res.count
-            if not ok:
-                break
-        results.append(_result("images_internal_covering_laws", inst_id, ok,
-                               ce, started=started))
-
-        started = time.perf_counter()
-        ok, ce = True, None
-        imgs = list(inst.images)
-        for a, b, c in itertools.islice(itertools.permutations(imgs, 3), 12):
-            dab = imagesets.hausdorff(a, b)
-            dba = imagesets.hausdorff(b, a)
-            dac = imagesets.hausdorff(a, c)
-            dcb = imagesets.hausdorff(c, b)
-            if abs(dab - dba) > 1e-9 or imagesets.hausdorff(a, a) != 0:
-                ok, ce = False, {"law": "symmetry/identity"}
-                break
-            if dab > dac + dcb + 1e-9:
-                ok, ce = False, {"law": "triangle"}
-                break
-        results.append(_result("images_hausdorff_metric", inst_id, ok, ce,
-                               started=started))
-    return results
+def _images_minimality_and_domination(inst):
+    for dec, img in zip(inst.decisions, inst.images):
+        mins = set(imagesets.min_elements(img, inst.cone, weak=False))
+        weaks = set(imagesets.min_elements(img, inst.cone, weak=True))
+        if not (mins <= weaks <= set(img.points)):
+            return {"law": "min-chain", "label": dec.label}
+        if not imagesets.domination_check(img, inst.cone):
+            return {"law": "domination", "label": dec.label}
+    return None
 
 
-def _check_prune(config: SuiteConfig, polytope_instances):
-    results = []
-    for inst_id, inst in polytope_instances:
-        started = time.perf_counter()
-        ok, ce = True, None
-        for dec, img in zip(inst.decisions, inst.images):
-            once = imagesets.prune_to_extreme(img.points)
-            twice = imagesets.prune_to_extreme(once)
-            if set(once) != set(twice):
-                ok, ce = False, {"label": dec.label}
-                break
-        results.append(_result("images_prune_idempotent", inst_id, ok, ce,
-                               started=started))
-    return results
+def _images_internal_covering_laws(inst):
+    eps_list = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)]
+    if not inst.exact:
+        eps_list = [float(e) for e in eps_list]
+    for dec, img in zip(inst.decisions, inst.images):
+        prev = None
+        for eps in eps_list:
+            res = imagesets.covering_number_internal(img, eps)
+            greedy = imagesets.covering_number_internal(img, eps, exact_cap=0)
+            if res.count > greedy.count:
+                return {"law": "exact<=greedy", "label": dec.label}
+            if not set(res.centers) <= set(img.points):
+                return {"law": "centers-subset", "label": dec.label}
+            covered = all(
+                any(sum((a - c) ** 2 for a, c in zip(p, ctr)) <= eps * eps
+                    for ctr in res.centers) for p in img.points)
+            if not covered:
+                return {"law": "covers", "label": dec.label}
+            if prev is not None and res.count > prev:
+                return {"law": "monotone-in-eps", "label": dec.label}
+            prev = res.count
+    return None
+
+
+def _images_hausdorff_metric(inst):
+    for a, b, c in itertools.islice(itertools.permutations(inst.images, 3), 12):
+        dab = imagesets.hausdorff(a, b)
+        dba = imagesets.hausdorff(b, a)
+        dac = imagesets.hausdorff(a, c)
+        dcb = imagesets.hausdorff(c, b)
+        if abs(dab - dba) > 1e-9 or imagesets.hausdorff(a, a) != 0:
+            return {"law": "symmetry/identity"}
+        if dab > dac + dcb + 1e-9:
+            return {"law": "triangle"}
+    return None
+
+
+IMAGE_LAWS = (
+    ("images_minimality_and_domination", _images_minimality_and_domination),
+    ("images_internal_covering_laws", _images_internal_covering_laws),
+    ("images_hausdorff_metric", _images_hausdorff_metric),
+)
+
+
+def _images_prune_idempotent(inst):
+    for dec, img in zip(inst.decisions, inst.images):
+        once = imagesets.prune_to_extreme(img.points)
+        twice = imagesets.prune_to_extreme(once)
+        if set(once) != set(twice):
+            return {"label": dec.label}
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Relation checks
 # ---------------------------------------------------------------------------
 
-def _check_relations(config: SuiteConfig, all_instances):
-    results = []
-    for inst_id, inst in all_instances:
-        eps_values = [0] + list(config.eps_grid)
-        started = time.perf_counter()
-        ok, ce = True, None
-        pairs = list(itertools.product(range(len(inst.images)), repeat=2))[:25]
-        for i, j in pairs:
-            a, b = inst.images[i], inst.images[j]
-            for eps in eps_values:
-                strict, _ = setrelations.set_relation(a, b, inst.cone,
-                                                      setrelations.LOWER_STRICT, eps)
-                strong, _ = setrelations.set_relation(a, b, inst.cone,
-                                                      setrelations.LOWER_STRONG, eps)
-                lower, _ = setrelations.set_relation(a, b, inst.cone,
-                                                     setrelations.LOWER, eps)
-                if (strict and not strong) or (strong and not lower):
-                    ok, ce = False, {"law": "chain", "pair": [i, j],
-                                     "eps": format_number(eps)}
-                    break
-            if not ok:
-                break
-        results.append(_result("relations_implication_chain", inst_id, ok, ce,
-                               started=started))
+def _pairs(inst) -> list:
+    return list(itertools.product(range(len(inst.images)), repeat=2))[:25]
 
-        started = time.perf_counter()
-        ok, ce = True, None
-        for i, j, k in itertools.islice(
-                itertools.product(range(len(inst.images)), repeat=3), 64):
-            ij, _ = setrelations.set_relation(inst.images[i], inst.images[j],
+
+def _relations_implication_chain(inst, config):
+    for i, j in _pairs(inst):
+        a, b = inst.images[i], inst.images[j]
+        for eps in [0] + list(config.eps_grid):
+            strict, _ = setrelations.set_relation(a, b, inst.cone,
+                                                  setrelations.LOWER_STRICT, eps)
+            strong, _ = setrelations.set_relation(a, b, inst.cone,
+                                                  setrelations.LOWER_STRONG, eps)
+            lower, _ = setrelations.set_relation(a, b, inst.cone,
+                                                 setrelations.LOWER, eps)
+            if (strict and not strong) or (strong and not lower):
+                return {"law": "chain", "pair": [i, j],
+                        "eps": format_number(eps)}
+    return None
+
+
+def _relations_preorder_transitive(inst, config):
+    for i, j, k in itertools.islice(
+            itertools.product(range(len(inst.images)), repeat=3), 64):
+        ij, _ = setrelations.set_relation(inst.images[i], inst.images[j],
+                                          inst.cone, setrelations.LOWER, 0)
+        jk, _ = setrelations.set_relation(inst.images[j], inst.images[k],
+                                          inst.cone, setrelations.LOWER, 0)
+        if ij and jk:
+            ik, _ = setrelations.set_relation(inst.images[i], inst.images[k],
                                               inst.cone, setrelations.LOWER, 0)
-            jk, _ = setrelations.set_relation(inst.images[j], inst.images[k],
-                                              inst.cone, setrelations.LOWER, 0)
-            if ij and jk:
-                ik, _ = setrelations.set_relation(inst.images[i],
-                                                  inst.images[k], inst.cone,
-                                                  setrelations.LOWER, 0)
-                if not ik:
-                    ok, ce = False, {"triple": [i, j, k]}
-                    break
-        results.append(_result("relations_preorder_transitive", inst_id, ok,
-                               ce, started=started))
-
-        started = time.perf_counter()
-        ok, ce = True, None
-        rng = random.Random(77)
-        for i, j in pairs[:10]:
-            a, b = inst.images[i], inst.images[j]
-            sm = setrelations.set_margin(a, b, inst.cone)
-            probes = []
-            for _ in range(18):
-                delta = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
-                probes.append(sm + delta if inst.exact else float(sm) + float(delta))
-            probes.append(sm)  # exact tie: strict must fail, non-strict hold
-            for eps in probes:
-                if eps < 0:
-                    continue
-                strict, _ = setrelations.set_relation(
-                    a, b, inst.cone, setrelations.LOWER_STRICT, eps)
-                expected = gt(sm, eps, 0 if inst.exact else 1e-9)
-                if strict != expected:
-                    ok, ce = False, {"pair": [i, j], "eps": format_number(eps)}
-                    break
-            if not ok:
-                break
-        results.append(_result("relations_strict_threshold_law", inst_id, ok,
-                               ce, started=started))
-    return results
+            if not ik:
+                return {"triple": [i, j, k]}
+    return None
 
 
-def _check_encoding_agreement(config: SuiteConfig, polytope_instances):
-    results = []
-    for inst_id, inst in polytope_instances:
-        started = time.perf_counter()
-        ok, ce = True, None
-        for i, j in itertools.product(range(len(inst.images)), repeat=2):
-            a, b = inst.images[i], inst.images[j]
-            as_fin = finite_set(b.points)
-            if setrelations.set_margin(a, b, inst.cone) != \
-                    setrelations.set_margin(a, as_fin, inst.cone):
-                ok, ce = False, {"pair": [i, j]}
-                break
-        results.append(_result("relations_right_encoding_agreement", inst_id,
-                               ok, ce, started=started))
-    return results
+def _relations_strict_threshold_law(inst, config):
+    rng = random.Random(77)
+    for i, j in _pairs(inst)[:10]:
+        a, b = inst.images[i], inst.images[j]
+        sm = setrelations.set_margin(a, b, inst.cone)
+        probes = []
+        for _ in range(18):
+            delta = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+            probes.append(sm + delta if inst.exact else float(sm) + float(delta))
+        probes.append(sm)  # exact tie: strict must fail, non-strict hold
+        for eps in probes:
+            if eps < 0:
+                continue
+            strict, _ = setrelations.set_relation(
+                a, b, inst.cone, setrelations.LOWER_STRICT, eps)
+            expected = gt(sm, eps, 0 if inst.exact else 1e-9)
+            if strict != expected:
+                return {"pair": [i, j], "eps": format_number(eps)}
+    return None
+
+
+RELATION_LAWS = (
+    ("relations_implication_chain", _relations_implication_chain),
+    ("relations_preorder_transitive", _relations_preorder_transitive),
+    ("relations_strict_threshold_law", _relations_strict_threshold_law),
+)
+
+
+def _relations_right_encoding_agreement(inst):
+    for i, j in itertools.product(range(len(inst.images)), repeat=2):
+        a, b = inst.images[i], inst.images[j]
+        if setrelations.set_margin(a, b, inst.cone) != \
+                setrelations.set_margin(a, finite_set(b.points), inst.cone):
+            return {"pair": [i, j]}
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Direct-solver checks
 # ---------------------------------------------------------------------------
 
-def _check_direct(config: SuiteConfig, all_instances):
-    results = []
-    for inst_id, inst in all_instances:
-        eps_values = [0] + list(config.eps_grid)
-        started = time.perf_counter()
-        ok, ce = True, None
-        for eps in eps_values:
-            t1 = set(solver_direct.solve_direct(inst, solver_direct.TYPE_ONE, eps).members)
-            t2 = set(solver_direct.solve_direct(inst, solver_direct.TYPE_TWO, eps).members)
-            wk = set(solver_direct.solve_direct(inst, solver_direct.WEAK, eps).members)
-            if not (t1 <= t2 <= wk):
-                ok, ce = False, {"eps": format_number(eps),
-                                 "type1": sorted(t1), "type2": sorted(t2),
-                                 "weak": sorted(wk)}
-                break
-        results.append(_result("direct_solution_chain", inst_id, ok, ce,
-                               started=started))
+def _members(inst, concept, eps) -> set:
+    return set(solver_direct.solve_direct(inst, concept, eps).members)
 
-        started = time.perf_counter()
-        ok, ce = True, None
-        ordered = sorted(eps_values)
-        prev_w, prev_t2 = None, None
-        for eps in ordered:
-            wk = set(solver_direct.solve_direct(inst, solver_direct.WEAK, eps).members)
-            t2 = set(solver_direct.solve_direct(inst, solver_direct.TYPE_TWO, eps).members)
-            if prev_w is not None and not (prev_w <= wk and prev_t2 <= t2):
-                ok, ce = False, {"eps": format_number(eps)}
-                break
-            prev_w, prev_t2 = wk, t2
-        results.append(_result("direct_eps_monotonicity", inst_id, ok, ce,
-                               started=started))
 
-        started = time.perf_counter()
-        thresholds = solver_direct.weak_threshold(inst)
-        rng = random.Random(31)
-        ok, ce = True, None
-        tol = 0 if inst.exact else 1e-9
-        probe_base = sorted(set(thresholds.values()))
-        for _ in range(20):
-            eps = Fraction(rng.randint(0, 40), rng.randint(1, 8))
-            if not inst.exact:
-                eps = float(eps)
-            members = set(solver_direct.solve_direct(
-                inst, solver_direct.WEAK, eps).members)
-            expected = {lab for lab, t in thresholds.items()
-                        if not gt(t, eps, tol)}
-            if members != expected:
-                ok, ce = False, {"eps": format_number(eps),
-                                 "members": sorted(members),
-                                 "expected": sorted(expected)}
-                break
-        results.append(_result("direct_weak_threshold_law", inst_id, ok, ce,
-                               started=started))
+def _direct_solution_chain(inst, config):
+    for eps in [0] + list(config.eps_grid):
+        t1 = _members(inst, solver_direct.TYPE_ONE, eps)
+        t2 = _members(inst, solver_direct.TYPE_TWO, eps)
+        wk = _members(inst, solver_direct.WEAK, eps)
+        if not (t1 <= t2 <= wk):
+            return {"eps": format_number(eps), "type1": sorted(t1),
+                    "type2": sorted(t2), "weak": sorted(wk)}
+    return None
 
-        started = time.perf_counter()
-        positive = [t for t in thresholds.values() if t > 0]
-        adaptive = list(config.eps_grid)
-        if positive:
-            adaptive.append(min(positive) / 2)
-        wk0 = set(solver_direct.solve_direct(inst, solver_direct.WEAK, 0).members)
-        t20 = set(solver_direct.solve_direct(inst, solver_direct.TYPE_TWO, 0).members)
-        inter = None
-        ok, ce = True, None
-        for eps in adaptive:
-            wke = set(solver_direct.solve_direct(inst, solver_direct.WEAK, eps).members)
-            t2e = set(solver_direct.solve_direct(inst, solver_direct.TYPE_TWO, eps).members)
-            if not t20 <= t2e:
-                ok, ce = False, {"law": "type2-in-eps", "eps": format_number(eps)}
-                break
-            inter = wke if inter is None else (inter & wke)
-        if ok and adaptive and inter != wk0:
-            ok, ce = False, {"law": "weak-intersection",
-                             "intersection": sorted(inter),
-                             "weak0": sorted(wk0)}
-        results.append(_result("direct_intersection_law", inst_id, ok, ce,
-                               started=started))
-    return results
+
+def _direct_eps_monotonicity(inst, config):
+    prev_w, prev_t2 = None, None
+    for eps in sorted([0] + list(config.eps_grid)):
+        wk = _members(inst, solver_direct.WEAK, eps)
+        t2 = _members(inst, solver_direct.TYPE_TWO, eps)
+        if prev_w is not None and not (prev_w <= wk and prev_t2 <= t2):
+            return {"eps": format_number(eps)}
+        prev_w, prev_t2 = wk, t2
+    return None
+
+
+def _direct_weak_threshold_law(inst, config):
+    thresholds = solver_direct.weak_threshold(inst)
+    rng = random.Random(31)
+    tol = 0 if inst.exact else 1e-9
+    for _ in range(20):
+        eps = Fraction(rng.randint(0, 40), rng.randint(1, 8))
+        if not inst.exact:
+            eps = float(eps)
+        members = _members(inst, solver_direct.WEAK, eps)
+        expected = {lab for lab, t in thresholds.items()
+                    if not gt(t, eps, tol)}
+        if members != expected:
+            return {"eps": format_number(eps), "members": sorted(members),
+                    "expected": sorted(expected)}
+    return None
+
+
+def _direct_intersection_law(inst, config):
+    positive = [t for t in solver_direct.weak_threshold(inst).values() if t > 0]
+    adaptive = list(config.eps_grid)
+    if positive:
+        adaptive.append(min(positive) / 2)
+    wk0 = _members(inst, solver_direct.WEAK, 0)
+    t20 = _members(inst, solver_direct.TYPE_TWO, 0)
+    inter = None
+    for eps in adaptive:
+        wke = _members(inst, solver_direct.WEAK, eps)
+        t2e = _members(inst, solver_direct.TYPE_TWO, eps)
+        if not t20 <= t2e:
+            return {"law": "type2-in-eps", "eps": format_number(eps)}
+        inter = wke if inter is None else (inter & wke)
+    if adaptive and inter != wk0:
+        return {"law": "weak-intersection", "intersection": sorted(inter),
+                "weak0": sorted(wk0)}
+    return None
+
+
+DIRECT_LAWS = (
+    ("direct_solution_chain", _direct_solution_chain),
+    ("direct_eps_monotonicity", _direct_eps_monotonicity),
+    ("direct_weak_threshold_law", _direct_weak_threshold_law),
+    ("direct_intersection_law", _direct_intersection_law),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -561,295 +510,238 @@ def _pmax(inst) -> int:
                for d in inst.decisions)
 
 
-def _check_vectorizer(config: SuiteConfig, finite_instances,
-                      polytope_instances):
-    results = []
-    for inst_id, inst in finite_instances:
-        eps_values = [0] + list(config.eps_grid)
+def _vp_members(inst, p, eps, kind) -> set:
+    return set(vectorizer.membership_vp(inst, p, eps, kind).members)
 
-        started = time.perf_counter()
-        ok, ce = True, None
-        for kind in vectorizer.VP_KINDS:
-            for eps in eps_values:
-                prev = None
-                for p in config.p_range:
-                    mem = set(vectorizer.membership_vp(inst, p, eps, kind).members)
-                    if prev is not None and not prev <= mem:
-                        ok, ce = False, {"law": "monotone-p", "kind": kind,
-                                         "eps": format_number(eps), "p": p}
-                        break
-                    prev = mem
-                if not ok:
-                    break
-            if not ok:
-                break
-        results.append(_result("vp_members_monotone_in_budget", inst_id, ok,
-                               ce, started=started))
 
-        started = time.perf_counter()
-        ok, ce = True, None
-        for eps in eps_values:
-            direct_w = set(solver_direct.solve_direct(
-                inst, solver_direct.WEAK, eps).members)
-            direct_t2 = set(solver_direct.solve_direct(
-                inst, solver_direct.TYPE_TWO, eps).members)
+def _vp_members_monotone_in_budget(inst, config):
+    for kind in vectorizer.VP_KINDS:
+        for eps in [0] + list(config.eps_grid):
+            prev = None
             for p in config.p_range:
-                vw = set(vectorizer.membership_vp(inst, p, eps,
-                                                  vectorizer.VP_WEAK).members)
-                vm = set(vectorizer.membership_vp(inst, p, eps,
-                                                  vectorizer.VP_MIN).members)
-                if not (vw <= direct_w and vm <= direct_t2):
-                    ok, ce = False, {"eps": format_number(eps), "p": p,
-                                     "law": "projection-subset"}
-                    break
-            if not ok:
-                break
-        results.append(_result("vp_projection_inside_direct", inst_id, ok, ce,
-                               started=started))
+                mem = _vp_members(inst, p, eps, kind)
+                if prev is not None and not prev <= mem:
+                    return {"law": "monotone-p", "kind": kind,
+                            "eps": format_number(eps), "p": p}
+                prev = mem
+    return None
 
-        started = time.perf_counter()
-        ok, ce = True, None
-        for kind in vectorizer.VP_KINDS:
-            for eps in eps_values:
-                for p in config.p_range:
-                    fast = set(vectorizer.membership_vp(inst, p, eps, kind).members)
-                    slow = set(vectorizer.brute_force_vp(inst, p, eps, kind).members)
-                    if fast != slow:
-                        ok, ce = False, {"kind": kind, "p": p,
-                                         "eps": format_number(eps),
-                                         "fast": sorted(fast),
-                                         "oracle": sorted(slow)}
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        results.append(_result("vp_oracle_equivalence", inst_id, ok, ce,
-                               started=started))
 
-        started = time.perf_counter()
-        ok, ce = True, None
-        direct_w0 = set(solver_direct.solve_direct(
-            inst, solver_direct.WEAK, 0).members)
-        for dec in inst.decisions:
-            res = vectorizer.minimal_p(inst, dec.label, 0, vectorizer.VP_WEAK)
-            if res.never == (dec.label in direct_w0):
-                ok, ce = False, {"label": dec.label, "never": res.never}
-                break
-        results.append(_result("vp_minimal_budget_never_consistency", inst_id,
-                               ok, ce, started=started))
+def _vp_projection_inside_direct(inst, config):
+    for eps in [0] + list(config.eps_grid):
+        direct_w = _members(inst, solver_direct.WEAK, eps)
+        direct_t2 = _members(inst, solver_direct.TYPE_TWO, eps)
+        for p in config.p_range:
+            vw = _vp_members(inst, p, eps, vectorizer.VP_WEAK)
+            vm = _vp_members(inst, p, eps, vectorizer.VP_MIN)
+            if not (vw <= direct_w and vm <= direct_t2):
+                return {"eps": format_number(eps), "p": p,
+                        "law": "projection-subset"}
+    return None
 
-        started = time.perf_counter()
-        ok, ce = True, None
-        budgets = {
-            "omega-minus-one": max(1, len(inst.decisions) - 1),
-            "max-min-count": _pmax(inst),
-        }
-        for law, p_thm in budgets.items():
-            mem = set(vectorizer.membership_vp(inst, p_thm, 0,
-                                               vectorizer.VP_WEAK).members)
-            if mem != direct_w0:
-                ok, ce = False, {"law": law, "p": p_thm,
-                                 "members": sorted(mem),
-                                 "direct": sorted(direct_w0)}
-                break
-        results.append(_result("vp_finite_budget_equalities", inst_id, ok, ce,
-                               started=started))
 
-        started = time.perf_counter()
-        ok, ce = True, None
-        pmax = _pmax(inst)
-        retained = set(vectorizer.membership_vp(inst, pmax, 0,
-                                                vectorizer.VP_MIN).members)
-        for dec, img in zip(inst.decisions, inst.images):
-            if not any(ge(setrelations.set_margin(inst.image_of(r), img,
-                                                  inst.cone), 0, 0)
-                       for r in retained):
-                ok, ce = False, {"label": dec.label,
-                                 "retained": sorted(retained)}
-                break
-        results.append(_result("vp_min_members_retain_image_quality", inst_id,
-                               ok, ce, started=started))
+def _vp_oracle_equivalence(inst, config):
+    for kind in vectorizer.VP_KINDS:
+        for eps in [0] + list(config.eps_grid):
+            for p in config.p_range:
+                fast = _vp_members(inst, p, eps, kind)
+                slow = set(vectorizer.brute_force_vp(inst, p, eps, kind).members)
+                if fast != slow:
+                    return {"kind": kind, "p": p, "eps": format_number(eps),
+                            "fast": sorted(fast), "oracle": sorted(slow)}
+    return None
 
-        started = time.perf_counter()
-        ok, ce = True, None
-        for eps in config.eps_grid:
-            uw = set(vectorizer.membership_vp(inst, pmax, eps,
-                                              vectorizer.VP_WEAK).members)
-            um = set(vectorizer.membership_vp(inst, pmax, eps,
-                                              vectorizer.VP_MIN).members)
-            if not (direct_w0 <= um and um <= uw and uw == um):
-                ok, ce = False, {"eps": format_number(eps),
-                                 "weak_union": sorted(uw),
-                                 "min_union": sorted(um)}
-                break
-        results.append(_result("vp_positive_eps_union_laws", inst_id, ok, ce,
-                               started=started))
 
-        started = time.perf_counter()
-        ok, ce = True, None
-        for eps in (e for e in config.eps_grid if e > 0):
-            for lab in direct_w0:
-                bound = vectorizer.covering_p_bound(inst, lab, eps)
-                mem = set(vectorizer.membership_vp(inst, bound, eps,
-                                                   vectorizer.VP_WEAK).members)
-                if lab not in mem:
-                    ok, ce = False, {"label": lab, "eps": format_number(eps),
-                                     "bound": bound}
-                    break
-            if not ok:
-                break
-        results.append(_result("vp_covering_budget_sufficient", inst_id, ok,
-                               ce, started=started))
+def _vp_minimal_budget_never_consistency(inst, config):
+    direct_w0 = _members(inst, solver_direct.WEAK, 0)
+    for dec in inst.decisions:
+        res = vectorizer.minimal_p(inst, dec.label, 0, vectorizer.VP_WEAK)
+        if res.never == (dec.label in direct_w0):
+            return {"label": dec.label, "never": res.never}
+    return None
 
-        started = time.perf_counter()
-        ok, ce = True, None
-        e = inst.cone.e
-        weights_cases = [[e], [e, e],
-                         [tuple(sum(row[d] for row in inst.cone.rows)
-                                for d in range(inst.m))]]
-        for weights in weights_cases:
-            p = len(weights)
-            sols = vectorizer.solve_weighted_sum(inst, p, weights)
-            mem = set(vectorizer.membership_vp(inst, p, 0,
-                                               vectorizer.VP_WEAK).members)
-            if not {s.label for s in sols} <= mem:
-                ok, ce = False, {"weights": [format_number(v) for w in weights
-                                             for v in w]}
-                break
-        results.append(_result("vp_weighted_sum_soundness", inst_id, ok, ce,
-                               started=started))
 
-    for inst_id, inst in polytope_instances:
-        started = time.perf_counter()
-        direct_w0 = set(solver_direct.solve_direct(
-            inst, solver_direct.WEAK, 0).members)
-        p_thm = max(len(img.points) for img in inst.images)
-        mem = set(vectorizer.membership_vp(inst, p_thm, 0,
-                                           vectorizer.VP_WEAK).members)
-        ok = mem == direct_w0
-        ce = None if ok else {"p": p_thm, "members": sorted(mem),
-                              "direct": sorted(direct_w0)}
-        results.append(_result("vp_polytope_budget_equality", inst_id, ok, ce,
-                               started=started))
-    return results
+def _vp_finite_budget_equalities(inst, config):
+    direct_w0 = _members(inst, solver_direct.WEAK, 0)
+    budgets = {
+        "omega-minus-one": max(1, len(inst.decisions) - 1),
+        "max-min-count": _pmax(inst),
+    }
+    for law, p_thm in budgets.items():
+        mem = _vp_members(inst, p_thm, 0, vectorizer.VP_WEAK)
+        if mem != direct_w0:
+            return {"law": law, "p": p_thm, "members": sorted(mem),
+                    "direct": sorted(direct_w0)}
+    return None
+
+
+def _vp_min_members_retain_image_quality(inst, config):
+    retained = _vp_members(inst, _pmax(inst), 0, vectorizer.VP_MIN)
+    for dec, img in zip(inst.decisions, inst.images):
+        if not any(ge(setrelations.set_margin(inst.image_of(r), img,
+                                              inst.cone), 0, 0)
+                   for r in retained):
+            return {"label": dec.label, "retained": sorted(retained)}
+    return None
+
+
+def _vp_positive_eps_union_laws(inst, config):
+    direct_w0 = _members(inst, solver_direct.WEAK, 0)
+    pmax = _pmax(inst)
+    for eps in config.eps_grid:
+        uw = _vp_members(inst, pmax, eps, vectorizer.VP_WEAK)
+        um = _vp_members(inst, pmax, eps, vectorizer.VP_MIN)
+        if not (direct_w0 <= um and um <= uw and uw == um):
+            return {"eps": format_number(eps), "weak_union": sorted(uw),
+                    "min_union": sorted(um)}
+    return None
+
+
+def _vp_covering_budget_sufficient(inst, config):
+    direct_w0 = _members(inst, solver_direct.WEAK, 0)
+    for eps in (e for e in config.eps_grid if e > 0):
+        for lab in direct_w0:
+            bound = vectorizer.covering_p_bound(inst, lab, eps)
+            if lab not in _vp_members(inst, bound, eps, vectorizer.VP_WEAK):
+                return {"label": lab, "eps": format_number(eps),
+                        "bound": bound}
+    return None
+
+
+def _vp_weighted_sum_soundness(inst, config):
+    e = inst.cone.e
+    weights_cases = [[e], [e, e],
+                     [tuple(sum(row[d] for row in inst.cone.rows)
+                            for d in range(inst.m))]]
+    for weights in weights_cases:
+        p = len(weights)
+        sols = vectorizer.solve_weighted_sum(inst, p, weights)
+        if not {s.label for s in sols} <= _vp_members(inst, p, 0,
+                                                      vectorizer.VP_WEAK):
+            return {"weights": [format_number(v) for w in weights for v in w]}
+    return None
+
+
+VP_LAWS = (
+    ("vp_members_monotone_in_budget", _vp_members_monotone_in_budget),
+    ("vp_projection_inside_direct", _vp_projection_inside_direct),
+    ("vp_oracle_equivalence", _vp_oracle_equivalence),
+    ("vp_minimal_budget_never_consistency",
+     _vp_minimal_budget_never_consistency),
+    ("vp_finite_budget_equalities", _vp_finite_budget_equalities),
+    ("vp_min_members_retain_image_quality",
+     _vp_min_members_retain_image_quality),
+    ("vp_positive_eps_union_laws", _vp_positive_eps_union_laws),
+    ("vp_covering_budget_sufficient", _vp_covering_budget_sufficient),
+    ("vp_weighted_sum_soundness", _vp_weighted_sum_soundness),
+)
+
+
+def _vp_polytope_budget_equality(inst):
+    direct_w0 = _members(inst, solver_direct.WEAK, 0)
+    p_thm = max(len(img.points) for img in inst.images)
+    mem = _vp_members(inst, p_thm, 0, vectorizer.VP_WEAK)
+    if mem != direct_w0:
+        return {"p": p_thm, "members": sorted(mem), "direct": sorted(direct_w0)}
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Instance checks
 # ---------------------------------------------------------------------------
 
-def _check_instances(config: SuiteConfig, finite_instances):
-    results = []
-    started = time.perf_counter()
-    ok, ce = True, None
-    T = 5
+def _cantor_limit_structure():
     for i in range(8):
         pt = instance_mod.cantor_limit_point(i)
         if pt[0] + pt[1] != 2:
-            ok, ce = False, {"law": "limit-line", "i": i}
-            break
-    if ok:
-        cone = _suite_cones(True)[0][1]
-        pts = [instance_mod.cantor_limit_point(i) for i in range(T)]
-        img = finite_set(pts)
-        if set(imagesets.min_elements(img, cone)) != set(pts):
-            ok, ce = False, {"law": "limit-antichain"}
-    results.append(_result("cantor_limit_structure", "cantor", ok, ce,
-                           started=started))
+            return {"law": "limit-line", "i": i}
+    cone = _suite_cones(True)[0][1]
+    pts = [instance_mod.cantor_limit_point(i) for i in range(5)]
+    if set(imagesets.min_elements(finite_set(pts), cone)) != set(pts):
+        return {"law": "limit-antichain"}
+    return None
 
-    started = time.perf_counter()
-    ok, ce = True, None
-    a = instance_mod.make_example("random_finite", {"seed": 5}, exact=config.exact)
-    b = instance_mod.make_example("random_finite", {"seed": 5}, exact=config.exact)
+
+def _generators_reproducible(exact):
+    a = instance_mod.make_example("random_finite", {"seed": 5}, exact=exact)
+    b = instance_mod.make_example("random_finite", {"seed": 5}, exact=exact)
     if a != b:
-        ok, ce = False, {"law": "seed-reproducibility"}
-    results.append(_result("generators_reproducible", "random_finite[seed=5]",
-                           ok, ce, started=started))
+        return {"law": "seed-reproducibility"}
+    return None
 
-    for inst_id, inst in finite_instances:
-        started = time.perf_counter()
-        ok, ce = True, None
-        for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(3, 2)):
-            if not inst.exact:
-                eps = float(eps)
-            disc = instance_mod.discretize_map(inst, eps)
-            subsetted = all(set(d.points) <= set(o.points)
-                            for d, o in zip(disc.images, inst.images))
-            if not subsetted:
-                ok, ce = False, {"law": "centers-subset", "eps": format_number(eps)}
-                break
-            if instance_mod.instance_distance_sq(inst, disc) > eps * eps:
-                ok, ce = False, {"law": "distance-bound", "eps": format_number(eps)}
-                break
-            p_disc = max(len(img.points) for img in disc.images)
-            wk = set(solver_direct.solve_direct(disc, solver_direct.WEAK, 0).members)
-            vp = set(vectorizer.membership_vp(disc, p_disc, 0,
-                                              vectorizer.VP_WEAK).members)
-            if wk != vp:
-                ok, ce = False, {"law": "discretized-budget-equality",
-                                 "eps": format_number(eps)}
-                break
-        results.append(_result("discretization_laws", inst_id, ok, ce,
-                               started=started))
-    return results
+
+def _discretization_laws(inst):
+    for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(3, 2)):
+        if not inst.exact:
+            eps = float(eps)
+        disc = instance_mod.discretize_map(inst, eps)
+        if not all(set(d.points) <= set(o.points)
+                   for d, o in zip(disc.images, inst.images)):
+            return {"law": "centers-subset", "eps": format_number(eps)}
+        if instance_mod.instance_distance_sq(inst, disc) > eps * eps:
+            return {"law": "distance-bound", "eps": format_number(eps)}
+        p_disc = max(len(img.points) for img in disc.images)
+        wk = _members(disc, solver_direct.WEAK, 0)
+        vp = _vp_members(disc, p_disc, 0, vectorizer.VP_WEAK)
+        if wk != vp:
+            return {"law": "discretized-budget-equality",
+                    "eps": format_number(eps)}
+    return None
 
 
 # ---------------------------------------------------------------------------
-# Golden examples
+# Golden examples: the worked-example verdicts every release must reproduce
 # ---------------------------------------------------------------------------
 
-def _check_goldens(config: SuiteConfig):
-    """The worked-example verdicts every release must reproduce."""
-    ex = config.exact
-    results = []
+def _golden_three_decision_family(exact):
+    inst = instance_mod.make_example("mfdvp", exact=exact)
+    if solver_direct.solve_direct(inst, solver_direct.TYPE_TWO, 0).members \
+            != ("0", "1", "2"):
+        return {"law": "type2-members"}
+    if "0" in _vp_members(inst, 1, 0, vectorizer.VP_WEAK):
+        return {"law": "weak-excluded-at-p1"}
+    if "0" not in _vp_members(inst, 2, 0, vectorizer.VP_WEAK):
+        return {"law": "weak-member-at-p2"}
+    if vectorizer.minimal_p(inst, "0", 0, vectorizer.VP_WEAK).p_star != 2:
+        return {"law": "weak-minimal-p"}
+    if any("0" in _vp_members(inst, p, 0, vectorizer.VP_MIN)
+           for p in range(1, 7)):
+        return {"law": "min-never"}
+    return None
 
-    started = time.perf_counter()
-    inst = instance_mod.make_example("mfdvp", exact=ex)
-    ok = solver_direct.solve_direct(inst, solver_direct.TYPE_TWO, 0).members \
-        == ("0", "1", "2")
-    ok = ok and "0" not in vectorizer.membership_vp(inst, 1, 0,
-                                                    vectorizer.VP_WEAK).members
-    ok = ok and "0" in vectorizer.membership_vp(inst, 2, 0,
-                                                vectorizer.VP_WEAK).members
-    ok = ok and vectorizer.minimal_p(inst, "0", 0,
-                                     vectorizer.VP_WEAK).p_star == 2
-    ok = ok and all(
-        "0" not in vectorizer.membership_vp(inst, p, 0,
-                                            vectorizer.VP_MIN).members
-        for p in range(1, 7))
-    results.append(_result("golden_three_decision_family", "mfdvp", ok,
-                           started=started))
 
-    started = time.perf_counter()
-    fan = instance_mod.make_example("t_one", {"g": 5}, exact=ex)
-    ok = solver_direct.solve_direct(fan, solver_direct.TYPE_ONE, 0).members \
-        == ("1/4",)
-    ok = ok and set(solver_direct.solve_direct(
-        fan, solver_direct.TYPE_TWO, 0).members) == set(fan.labels)
+def _golden_polytope_fan(exact):
+    fan = instance_mod.make_example("t_one", {"g": 5}, exact=exact)
+    if solver_direct.solve_direct(fan, solver_direct.TYPE_ONE, 0).members \
+            != ("1/4",):
+        return {"law": "type1-members"}
+    if _members(fan, solver_direct.TYPE_TWO, 0) != set(fan.labels):
+        return {"law": "type2-members"}
     report_min = vectorizer.membership_vp(fan, 1, 0, vectorizer.VP_MIN)
-    ok = ok and "1/2" in report_min.members
-    ok = ok and report_min.certificates["1/2"].tuple_points[0][1] == 0
-    results.append(_result("golden_polytope_fan", "t_one[g=5]", ok,
-                           started=started))
+    if "1/2" not in report_min.members or \
+            report_min.certificates["1/2"].tuple_points[0][1] != 0:
+        return {"law": "min-member-at-p1"}
+    return None
 
-    started = time.perf_counter()
-    singles = instance_mod.make_example("strict_min", {"g": 5}, exact=ex)
-    ok = solver_direct.solve_direct(singles, solver_direct.TYPE_TWO,
-                                    0).members == ("0",)
-    for eps in config.eps_grid:
-        ok = ok and set(vectorizer.membership_vp(
-            singles, 1, eps, vectorizer.VP_MIN).members) == set(singles.labels)
-    results.append(_result("golden_drifting_singletons", "strict_min[g=5]",
-                           ok, started=started))
 
-    started = time.perf_counter()
-    trunc = instance_mod.make_example("cantor", {"T": 4, "N": 6}, exact=ex)
+def _golden_drifting_singletons(exact, eps_grid):
+    singles = instance_mod.make_example("strict_min", {"g": 5}, exact=exact)
+    if solver_direct.solve_direct(singles, solver_direct.TYPE_TWO,
+                                  0).members != ("0",):
+        return {"law": "type2-members"}
+    for eps in eps_grid:
+        if _vp_members(singles, 1, eps, vectorizer.VP_MIN) != \
+                set(singles.labels):
+            return {"law": "min-members", "eps": format_number(eps)}
+    return None
+
+
+def _golden_truncated_nesting(exact):
+    trunc = instance_mod.make_example("cantor", {"T": 4, "N": 6}, exact=exact)
     res = vectorizer.minimal_p(trunc, "1", 0, vectorizer.VP_WEAK)
-    ok = not res.never and res.p_star == 4  # budget equals truncation depth
-    results.append(_result("golden_truncated_nesting", "cantor[T=4,N=6]", ok,
-                           started=started))
-    return results
+    if res.never or res.p_star != 4:  # budget equals truncation depth
+        return {"law": "weak-minimal-p"}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -860,19 +752,41 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     """Execute every invariant check plus the golden-example verdicts;
     deterministic given the config."""
     config = config or SuiteConfig()
+    ex = config.exact
     finites = _labeled_instances(config)
     polytopes = _polytope_instances(config)
     report = SuiteReport()
-    report.checks.extend(_check_lp(config))
-    report.checks.extend(_check_cone(config))
-    report.checks.extend(_check_imagesets(config, finites))
-    report.checks.extend(_check_prune(config, polytopes))
-    report.checks.extend(_check_relations(config, finites + polytopes))
-    report.checks.extend(_check_encoding_agreement(config, polytopes))
-    report.checks.extend(_check_direct(config, finites + polytopes))
-    report.checks.extend(_check_vectorizer(config, finites, polytopes))
-    report.checks.extend(_check_instances(config, finites))
-    report.checks.extend(_check_goldens(config))
+    checks = report.checks
+    checks.extend(_run("lp_simplex_vs_basic_enumeration", f"seed={seed}",
+                       _lp_simplex_vs_basic_enumeration, seed)
+                  for seed in config.seeds)
+    checks.extend(_per_instance(CONE_LAWS, _suite_cones(ex), ex))
+    checks.extend(_per_instance(IMAGE_LAWS, finites))
+    checks.extend(_per_instance(
+        (("images_prune_idempotent", _images_prune_idempotent),), polytopes))
+    checks.extend(_per_instance(RELATION_LAWS, finites + polytopes, config))
+    checks.extend(_per_instance(
+        (("relations_right_encoding_agreement",
+          _relations_right_encoding_agreement),), polytopes))
+    checks.extend(_per_instance(DIRECT_LAWS, finites + polytopes, config))
+    checks.extend(_per_instance(VP_LAWS, finites, config))
+    checks.extend(_per_instance(
+        (("vp_polytope_budget_equality", _vp_polytope_budget_equality),),
+        polytopes))
+    checks.append(_run("cantor_limit_structure", "cantor",
+                       _cantor_limit_structure))
+    checks.append(_run("generators_reproducible", "random_finite[seed=5]",
+                       _generators_reproducible, ex))
+    checks.extend(_per_instance(
+        (("discretization_laws", _discretization_laws),), finites))
+    checks.append(_run("golden_three_decision_family", "mfdvp",
+                       _golden_three_decision_family, ex))
+    checks.append(_run("golden_polytope_fan", "t_one[g=5]",
+                       _golden_polytope_fan, ex))
+    checks.append(_run("golden_drifting_singletons", "strict_min[g=5]",
+                       _golden_drifting_singletons, ex, config.eps_grid))
+    checks.append(_run("golden_truncated_nesting", "cantor[T=4,N=6]",
+                       _golden_truncated_nesting, ex))
     return report
 
 
@@ -896,18 +810,18 @@ def convex_experiment(config: Optional[ConvexExperimentConfig] = None) -> SuiteR
                 {"seed": seed, "g": config.grid, "n": config.n},
                 exact=config.exact)
         except SetoptError as exc:
-            report.checks.append(_result("convex_generator", inst_id, False,
-                                         {"error": str(exc)}, hard=False,
-                                         started=started))
+            report.checks.append(CheckResult(
+                "convex_generator", inst_id, False, hard=False,
+                counterexample={"error": str(exc)},
+                seconds=time.perf_counter() - started))
             continue
-        wargmin = set(solver_direct.solve_direct(
-            inst, solver_direct.WEAK, 0).members)
-        vp = set(vectorizer.membership_vp(inst, config.n + 1, 0,
-                                          vectorizer.VP_WEAK).members)
-        report.checks.append(_result(
+        wargmin = _members(inst, solver_direct.WEAK, 0)
+        vp = _vp_members(inst, config.n + 1, 0, vectorizer.VP_WEAK)
+        report.checks.append(CheckResult(
             "convex_soundness", inst_id, vp <= wargmin,
-            None if vp <= wargmin else {"extra": sorted(vp - wargmin)},
-            started=started))
+            counterexample=None if vp <= wargmin
+            else {"extra": sorted(vp - wargmin)},
+            seconds=time.perf_counter() - started))
         ratio = len(vp & wargmin) / len(wargmin) if wargmin else 1.0
         report.checks.append(CheckResult(
             "convex_agreement", inst_id, ratio == 1.0, hard=False,

@@ -13,7 +13,7 @@ from setopt.errors import NotInterior, NotPointed, ValidationError, ZeroRow
 
 def test_orthant_validates():
     cone = validate_cone([[F(1), F(0)], [F(0), F(1)]], [F(1), F(1)])
-    assert cone.m == 2 and cone.row_dot_e() == (1, 1)
+    assert cone.m == 2 and cone.row_e == (1, 1)
 
 
 def test_rank_deficiency_rejected():
