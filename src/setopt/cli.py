@@ -12,17 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import instance as instance_mod
 from . import plot as plot_mod
 from . import solver_direct, vectorizer, verifier
 from .arith import format_number, parse_number
 from .errors import SetoptError
-
-
-def _num(text: str, exact: bool):
-    return parse_number(text, True) if exact else parse_number(text, False)
 
 
 def _write_json(payload: dict, path: str | None) -> None:
@@ -44,7 +39,8 @@ def _parse_weights(text: str, exact: bool):
         chunk = chunk.strip()
         if not chunk:
             continue
-        vectors.append(tuple(_num(v.strip(), exact) for v in chunk.split(",")))
+        vectors.append(tuple(parse_number(v.strip(), exact)
+                             for v in chunk.split(",")))
     return vectors
 
 
@@ -66,7 +62,7 @@ def _cmd_example(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _load(args)
-    eps = _num(args.eps, inst.exact)
+    eps = parse_number(args.eps, inst.exact)
     report = solver_direct.solve_direct(inst, args.concept, eps)
     print(f"concept={args.concept} eps={format_number(eps)} "
           f"members={list(report.members)}")
@@ -92,7 +88,7 @@ def _write_csv_solve(inst, report, path) -> None:
 
 def _cmd_vectorize(args) -> int:
     inst = _load(args)
-    eps = _num(args.eps, inst.exact)
+    eps = parse_number(args.eps, inst.exact)
     report = vectorizer.membership_vp(inst, args.p, eps, args.kind)
     print(f"kind={args.kind} p={args.p} eps={format_number(eps)} "
           f"members={list(report.members)}")
@@ -114,7 +110,7 @@ def _cmd_vectorize(args) -> int:
 
 def _cmd_minimal_p(args) -> int:
     inst = _load(args)
-    eps = _num(args.eps, inst.exact)
+    eps = parse_number(args.eps, inst.exact)
     result = vectorizer.minimal_p(inst, args.x, eps, args.kind)
     if result.never:
         reason = f" (defeated by {result.reason})" if result.reason else ""
@@ -128,8 +124,8 @@ def _cmd_minimal_p(args) -> int:
 
 def _cmd_covering_p(args) -> int:
     inst = _load(args)
-    eps = _num(args.eps, inst.exact)
-    gamma = Fraction(args.gamma) if inst.exact else float(Fraction(args.gamma))
+    eps = parse_number(args.eps, inst.exact)
+    gamma = parse_number(args.gamma, inst.exact)
     bound = vectorizer.covering_p_bound(inst, args.x, eps, gamma)
     print(f"x={args.x}: covering budget p={bound}")
     if args.out:
@@ -151,7 +147,7 @@ def _cmd_weighted_sum(args) -> int:
 
 def _cmd_discretize(args) -> int:
     inst = _load(args)
-    eps = _num(args.eps, inst.exact)
+    eps = parse_number(args.eps, inst.exact)
     disc = instance_mod.discretize_map(inst, eps)
     instance_mod.save(disc, args.out)
     sizes = [len(img.points) for img in disc.images]
@@ -203,7 +199,7 @@ def _cmd_convex_exp(args) -> int:
 
 def _cmd_plot(args) -> int:
     inst = _load(args)
-    eps = _num(args.eps, inst.exact)
+    eps = parse_number(args.eps, inst.exact)
     report = solver_direct.solve_direct(inst, args.concept, eps)
     members = set(report.members)
     if inst.m == 2:

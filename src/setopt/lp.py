@@ -2,10 +2,22 @@
 
 Every linear program arriving here is tiny (tens of variables at most:
 polytope membership systems, dual-cone feasibility, slack
-maximization), so a dense tableau with Bland's anti-cycling rule is
-both fast enough and easy to trust.  With ``Fraction`` data and
-``tol=0`` every pivot decision is exact, which is what the rational
-mode of the rest of the library relies on.
+maximization), so a tableau with Bland's anti-cycling rule is both
+fast enough and easy to trust.
+
+A program whose numbers are all rational and whose resolved tolerance
+is 0 pivots on integers.  Its standard-form rows are scaled once by the
+common denominator of all their entries (the artificial columns keep
+coefficient 1), and the phase-two objective by its own; every row then
+shares one positive denominator ``d``, and each pivot is an
+Edmonds-Bareiss update ``(t_ij * p - t_ic * t_rj) // d`` that divides
+exactly.  Scaling every row by one factor multiplies the phase-one
+objective by that factor and leaves the ratios unchanged, so each
+entering and leaving choice has the sign and the order it has on the
+``Fraction`` tableau: the pivot sequence, status, value and point are
+the same, and ``Fraction``s are built only for the returned numbers.
+Float data, and rational data at a nonzero tolerance, keep the dense
+tableau of true entries compared within ``tol``.
 
 Conventions:
 
@@ -17,10 +29,12 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import Num, Vec, div, dot, num_finite, resolve_tol
+from .arith import Num, Vec, div, dot, is_exact, num_finite, resolve_tol
 from .errors import DimMismatch, IterationCapExceeded, ValidationError
 
 ITERATION_CAP = 10_000
@@ -163,22 +177,94 @@ class _Standard:
         return tuple(out)
 
 
-def _pivot(tab, obj, r, c):
-    prow = tab[r]
-    piv = prow[c]
-    tab[r] = prow = [div(v, piv) for v in prow]
-    for i, row in enumerate(tab):
-        if i != r and row[c] != 0:
+class _Dense:
+    """Tableau of true entries, floats or ``Fraction``s, read within ``tol``."""
+
+    d = 1
+
+    def __init__(self, tol):
+        self.tol = tol
+
+    @staticmethod
+    def scaled(rows):
+        return rows, 1
+
+    @staticmethod
+    def pivot(tab, obj, r, c):
+        prow = tab[r]
+        piv = prow[c]
+        tab[r] = prow = [div(v, piv) for v in prow]
+        for i, row in enumerate(tab):
+            if i != r and row[c] != 0:
+                f = row[c]
+                tab[i] = [v - f * p for v, p in zip(row, prow)]
+        if obj[c] != 0:
+            f = obj[c]
+            for j, p in enumerate(prow):
+                obj[j] -= f * p
+
+    @staticmethod
+    def compare(row, other, c):
+        """Sign of ``row``'s ratio minus ``other``'s in column ``c``."""
+        x, y = div(row[-1], row[c]), div(other[-1], other[c])
+        return (x > y) - (x < y)
+
+    @staticmethod
+    def value(x, scale=1):
+        return x
+
+
+class _Integral:
+    """Integer tableau: the true entries are ``T / d``, one positive
+    ``d`` shared by every row and the objective row.
+
+    Pivots are Edmonds-Bareiss updates, so every entry stays a minor of
+    the scaled input and each division by the old ``d`` is exact.
+    """
+
+    tol = 0
+
+    def __init__(self):
+        self.d = 1
+
+    @staticmethod
+    def scaled(rows):
+        """``rows`` times the least common denominator of all entries."""
+        # a list, not a generator: unpacking a generator into math.lcm
+        # grew the heap with every call on CPython 3.11
+        scale = math.lcm(*[v.denominator for row in rows for v in row])
+        return [[v.numerator * (scale // v.denominator) for v in row]
+                for row in rows], scale
+
+    def pivot(self, tab, obj, r, c):
+        prow = tab[r]
+        p, d = prow[c], self.d
+        for i, row in enumerate([*tab, obj]):
+            if i == r:
+                continue
             f = row[c]
-            tab[i] = [v - f * p for v, p in zip(row, prow)]
-    if obj[c] != 0:
-        f = obj[c]
-        for j, p in enumerate(prow):
-            obj[j] -= f * p
+            if f:
+                row[:] = [(v * p - f * w) // d for v, w in zip(row, prow)]
+            elif p != d:
+                row[:] = [v * p // d for v in row]
+        if p < 0:  # only when pivoting out a leftover artificial
+            for row in [*tab, obj]:
+                row[:] = [-v for v in row]
+            p = -p
+        self.d = p
+
+    @staticmethod
+    def compare(row, other, c):
+        # cross-multiplied: both rows hold a positive entry in column c
+        return row[-1] * other[c] - other[-1] * row[c]
+
+    def value(self, x, scale=1):
+        return Fraction(x, self.d * scale)
 
 
-def _run(tab, obj, basis, width, tol, cap):
+def _run(tab, obj, basis, width, arith, cap):
     """Bland-rule simplex on a tableau whose rhs is the last column."""
+    tol = arith.tol
     iterations = 0
     while True:
         iterations += 1
@@ -192,27 +278,28 @@ def _run(tab, obj, basis, width, tol, cap):
         if enter is None:
             return OPTIMAL
         leave = None
-        best = None
         for i, row in enumerate(tab):
-            a = row[enter]
-            if a > tol:
-                ratio = div(row[-1], a)
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            if row[enter] > tol:
+                if leave is None:
+                    leave = i
+                    continue
+                sign = arith.compare(row, tab[leave], enter)
+                if sign < 0 or (sign == 0 and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             return UNBOUNDED
-        _pivot(tab, obj, leave, enter)
+        arith.pivot(tab, obj, leave, enter)
         basis[leave] = enter
 
 
-def _phase_one(std: _Standard, tol, cap):
+def _phase_one(std: _Standard, arith, cap):
     """Returns (tab, basis, infeasibility) with artificials eliminated."""
     m = len(std.rows)
     n = std.ncols
+    rows, scale = arith.scaled([r + [b] for r, b in zip(std.rows, std.rhs)])
     tab = []
-    for i in range(m):
-        row = list(std.rows[i]) + [0] * m + [std.rhs[i]]
+    for i, row in enumerate(rows):
+        row = row[:n] + [0] * m + row[n:]
         if row[-1] < 0:
             row = [-v for v in row]
         row[n + i] = 1
@@ -222,9 +309,9 @@ def _phase_one(std: _Standard, tol, cap):
     for row in tab:
         for j in range(n + m + 1):
             obj[j] -= row[j]
-    _run(tab, obj, basis, n + m, tol, cap)
-    infeasibility = -obj[-1]
-    if infeasibility > tol:
+    _run(tab, obj, basis, n + m, arith, cap)
+    infeasibility = arith.value(-obj[-1], scale)
+    if infeasibility > arith.tol:
         return None, None, infeasibility
     # Pivot leftover artificials out; a row with no real pivot is redundant.
     keep = []
@@ -232,12 +319,12 @@ def _phase_one(std: _Standard, tol, cap):
         if basis[i] >= n:
             pivot_col = None
             for j in range(n):
-                if abs(tab[i][j]) > tol:
+                if abs(tab[i][j]) > arith.tol:
                     pivot_col = j
                     break
             if pivot_col is None:
                 continue
-            _pivot(tab, obj, i, pivot_col)
+            arith.pivot(tab, obj, i, pivot_col)
             basis[i] = pivot_col
         keep.append(i)
     tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
@@ -245,40 +332,49 @@ def _phase_one(std: _Standard, tol, cap):
     return tab, basis, infeasibility
 
 
-def _extract(std: _Standard, tab, basis) -> tuple:
+def _extract(std: _Standard, tab, basis, arith) -> tuple:
     z = [0] * std.ncols
     for i, b in enumerate(basis):
-        z[b] = tab[i][-1]
+        z[b] = arith.value(tab[i][-1])
     return std.recover(z)
+
+
+def _arith(prog: LinearProgram, tol):
+    """The integer tableau for rational data at tolerance 0, else the dense one."""
+    tol = resolve_tol(tol, *prog._all_numbers())
+    if tol == 0 and all(map(is_exact, prog._all_numbers())):
+        return _Integral()
+    return _Dense(tol)
 
 
 def lp_feasible(prog: LinearProgram, tol=None, cap=ITERATION_CAP) -> Feasibility:
     """Phase-one feasibility check; returns a witness point when feasible."""
-    tol = resolve_tol(tol, *prog._all_numbers())
+    arith = _arith(prog, tol)
     std = _Standard(prog)
-    tab, basis, infeas = _phase_one(std, tol, cap)
+    tab, basis, infeas = _phase_one(std, arith, cap)
     if tab is None:
         return Feasibility(False, None, infeas)
-    return Feasibility(True, _extract(std, tab, basis), infeas)
+    return Feasibility(True, _extract(std, tab, basis, arith), infeas)
 
 
 def lp_maximize(prog: LinearProgram, tol=None, cap=ITERATION_CAP) -> Outcome:
-    tol = resolve_tol(tol, *prog._all_numbers())
+    arith = _arith(prog, tol)
     std = _Standard(prog)
-    tab, basis, _ = _phase_one(std, tol, cap)
+    tab, basis, _ = _phase_one(std, arith, cap)
     if tab is None:
         return Outcome(INFEASIBLE)
-    c = std.c
-    obj = [-cj for cj in c] + [0]
+    (c,), scale = arith.scaled([std.c])
+    obj = [-cj * arith.d for cj in c] + [0]
     for i, row in enumerate(tab):
         cb = c[basis[i]]
         if cb != 0:
             for j in range(std.ncols + 1):
                 obj[j] += cb * row[j]
-    status = _run(tab, obj, basis, std.ncols, tol, cap)
+    status = _run(tab, obj, basis, std.ncols, arith, cap)
     if status == UNBOUNDED:
         return Outcome(UNBOUNDED)
-    return Outcome(OPTIMAL, obj[-1] + std.const, _extract(std, tab, basis))
+    value = arith.value(obj[-1], scale) + std.const
+    return Outcome(OPTIMAL, value, _extract(std, tab, basis, arith))
 
 
 def check_point(prog: LinearProgram, point: Sequence[Num], tol=None) -> bool:

@@ -55,6 +55,16 @@ def test_weighted_sum_and_covering(tmp_path, capsys):
     assert "p=2" in capsys.readouterr().out
 
 
+def test_covering_bad_gamma_exit_two(tmp_path, capsys):
+    inst_path = tmp_path / "i.json"
+    run(["example", "mfdvp", "-o", str(inst_path), "--exact"])
+    for exact in (["--exact"], []):
+        for gamma in ("abc", "1/0"):
+            assert run(["covering-p", "-i", str(inst_path), *exact,
+                        "--x", "0", "--eps", "1", "--gamma", gamma]) == 2
+            assert "error: bad rational literal" in capsys.readouterr().err
+
+
 def test_discretize_and_distance(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

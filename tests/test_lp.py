@@ -147,16 +147,28 @@ def _solve_support(rows, rhs, cols, nv):
     return point
 
 
+def _float_program(prog):
+    return make_program([float(v) for v in prog.objective],
+                        equalities=([[float(v) for v in row]
+                                     for row in prog.eq_lhs],
+                                    [float(v) for v in prog.eq_rhs]),
+                        lower_bounds=[float(v) for v in prog.lower_bounds])
+
+
 def test_against_basic_solution_enumeration():
+    """Rational data pivots on integers, float data on the dense tableau."""
     rng = random.Random(2024)
     optimal_seen = infeasible_seen = 0
     for _ in range(60):
         prog = _random_program(rng)
         out = lp_maximize(prog, tol=0)
+        approx = lp_maximize(_float_program(prog))
         oracle = _basic_solution_optimum(prog)
+        assert approx.status == out.status
         if out.is_optimal:
             optimal_seen += 1
             assert oracle == out.value
+            assert abs(approx.value - oracle) <= 1e-9
             assert check_point(prog, out.point, tol=0)
         elif out.status == "infeasible":
             infeasible_seen += 1
