@@ -10,6 +10,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -149,10 +150,13 @@ def _cmd_discretize(args) -> int:
     inst = _load(args)
     eps = parse_number(args.eps, inst.exact)
     disc = instance_mod.discretize_map(inst, eps)
-    instance_mod.save(disc, args.out)
-    sizes = [len(img.points) for img in disc.images]
-    print(f"discretized at eps={format_number(eps)}; image sizes {sizes}; "
-          f"wrote {args.out}")
+    if args.out:
+        instance_mod.save(disc, args.out)
+        sizes = [len(img.points) for img in disc.images]
+        print(f"discretized at eps={format_number(eps)}; image sizes {sizes}; "
+              f"wrote {args.out}")
+    else:
+        _write_json(instance_mod.to_json_dict(disc), None)
     return 0
 
 
@@ -212,7 +216,10 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``func`` defaults name
+    ``_cmd_*`` functions, which look up their modules when called."""
     parser = argparse.ArgumentParser(
         prog="setopt",
         description="Set optimization under the lower set less relation via "

@@ -4,14 +4,21 @@ Operations on the values of a set-valued objective: minimal and weakly
 minimal elements, the point margin against a shifted set, Hausdorff
 distance, internal covering numbers, extreme-point pruning, and the
 domination (external stability) check.
+
+A polytope image keeps the cone products ``a_j.v`` of its vertices, as
+the rows of its point-margin and strong-slack programs, for the last
+cone it was asked about; each question then builds only the products
+of its own point.  Extreme-point pruning sweeps the hull (Andrew's
+monotone chain) for exact planar vertex lists and solves one linear
+program per vertex otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .arith import (Num, Vec, dist_sq, dot, ge, gt, num_finite,
+from .arith import (Num, Vec, dist_sq, dot, ge, gt, is_exact, num_finite,
                     resolve_tol)
 from .cone import Cone, margin
 from .errors import DimMismatch, EmptyImage, ValidationError
@@ -25,6 +32,12 @@ POLYTOPE = "polytope"
 class ImageSet:
     kind: str                 # "finite" or "polytope"
     points: tuple             # points, or polytope vertices
+    # (cone, cone products) of a polytope for the last cone asked, set
+    # on first use by _cone_products; a class-level default, so finite
+    # images carry nothing.  Points never change, so the products stay
+    # valid while the cone is the same object.
+    _products: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @property
     def m(self) -> int:
@@ -112,20 +125,14 @@ def point_margin_with_multipliers(b: Vec, image: ImageSet, cone: Cone,
         raise DimMismatch("point dimension differs from cone dimension")
     if image.is_finite:
         return max(margin(a, b, cone) for a in image.points), None
-    verts = image.points
-    k = len(verts)
+    k = len(image.points)
     # max eps  s.t.  sum(lam) = 1,  A(b - eps*e - V lam) >= 0,  lam >= 0
-    ge_lhs = []
-    ge_rhs = []
-    for row, de in zip(cone.rows, cone.row_e):
-        ge_lhs.append(tuple([-de] + [-dot(row, v) for v in verts]))
-        ge_rhs.append(-dot(row, b))
     prog = LinearProgram(
         objective=tuple([1] + [0] * k),
         eq_lhs=(tuple([0] + [1] * k),),
         eq_rhs=(1,),
-        ge_lhs=tuple(ge_lhs),
-        ge_rhs=tuple(ge_rhs),
+        ge_lhs=_cone_products(image, cone)[0],
+        ge_rhs=tuple(-dot(row, b) for row in cone.rows),
         lower_bounds=tuple([None] + [0] * k),
     )
     out = lp_maximize(prog, tol=tol)
@@ -152,20 +159,14 @@ def strong_membership_slack(target: Vec, image: ImageSet, cone: Cone,
             if ge(margin(a, target, cone), 0, tol) and not _close(a, target, tol):
                 return True, a, None
         return False, None, None
-    verts = image.points
-    k = len(verts)
-    total = tuple(sum(col) for col in zip(*cone.rows))  # sum_j a_j
-    ge_lhs = []
-    ge_rhs = []
-    for row in cone.rows:
-        ge_lhs.append(tuple(-dot(row, v) for v in verts))
-        ge_rhs.append(-dot(row, target))
+    k = len(image.points)
+    _, ge_lhs, total, objective = _cone_products(image, cone)
     prog = LinearProgram(
-        objective=tuple(-dot(total, v) for v in verts),
+        objective=objective,
         eq_lhs=((1,) * k,),
         eq_rhs=(1,),
-        ge_lhs=tuple(ge_lhs),
-        ge_rhs=tuple(ge_rhs),
+        ge_lhs=ge_lhs,
+        ge_rhs=tuple(-dot(row, target) for row in cone.rows),
         lower_bounds=(0,) * k,
     )
     out = lp_maximize(prog, tol=tol)
@@ -175,6 +176,25 @@ def strong_membership_slack(target: Vec, image: ImageSet, cone: Cone,
     if gt(value, 0, tol):
         return True, None, tuple(out.point)
     return False, None, None
+
+
+def _cone_products(image: ImageSet, cone: Cone) -> tuple:
+    """``(margin_rows, slack_rows, total, objective)`` of a polytope:
+    the point-margin rows ``(-a_j.e, -a_j.v_1, ...)``, the strong-slack
+    rows ``(-a_j.v_1, ...)``, ``total = sum_j a_j`` and the strong-slack
+    objective ``(-total.v_1, ...)``.  Kept on the image for the last
+    cone asked, which is checked by identity."""
+    kept = image._products
+    if kept is None or kept[0] is not cone:
+        verts = image.points
+        slack_rows = tuple(tuple(-dot(row, v) for v in verts)
+                           for row in cone.rows)
+        total = tuple(sum(col) for col in zip(*cone.rows))
+        kept = (cone, (
+            tuple((-de,) + r for de, r in zip(cone.row_e, slack_rows)),
+            slack_rows, total, tuple(-dot(total, v) for v in verts)))
+        object.__setattr__(image, "_products", kept)  # frozen dataclass
+    return kept[1]
 
 
 def _close(u, v, tol):
@@ -297,19 +317,42 @@ def _exact_cover(cover, n, incumbent):
 
 def prune_to_extreme(vertices, tol=None) -> tuple:
     """Drop duplicates and every point expressible as a convex
-    combination of the others (idempotent)."""
+    combination of the others (idempotent), keeping the input order."""
     pts = _dedupe(tuple(tuple(p) for p in vertices))
     if not pts:
         raise EmptyImage("vertex list must be nonempty")
     if len(pts) == 1:
         return tuple(pts)
-    tol = resolve_tol(tol, *(v for p in pts for v in p))
+    coords = [v for p in pts for v in p]
+    tol = resolve_tol(tol, *coords)
+    if tol == 0 and len(pts[0]) == 2 and all(map(is_exact, coords)):
+        return _planar_extreme(pts)
     kept = []
     for idx, p in enumerate(pts):
         others = [q for j, q in enumerate(pts) if j != idx]
         if not _in_hull(p, others, tol):
             kept.append(p)
     return tuple(kept)
+
+
+def _planar_extreme(pts) -> tuple:
+    """The vertices of the hull of distinct rational planar points, in
+    input order: Andrew's monotone chain, dropping collinear points."""
+    order = sorted(pts)
+
+    def chain(seq):
+        out = []
+        for c in seq:
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (c[1] - ay) - (by - ay) * (c[0] - ax) > 0:
+                    break
+                out.pop()
+            out.append(c)
+        return out[:-1]
+
+    hull = set(chain(order) + chain(order[::-1]))
+    return tuple(p for p in pts if p in hull)
 
 
 def _in_hull(p, others, tol) -> bool:

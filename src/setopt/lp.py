@@ -6,16 +6,18 @@ maximization), so a tableau with Bland's anti-cycling rule is both
 fast enough and easy to trust.
 
 A program whose numbers are all rational and whose resolved tolerance
-is 0 pivots on integers.  Its standard-form rows are scaled once by the
-common denominator of all their entries (the artificial columns keep
-coefficient 1), and the phase-two objective by its own; every row then
-shares one positive denominator ``d``, and each pivot is an
-Edmonds-Bareiss update ``(t_ij * p - t_ic * t_rj) // d`` that divides
-exactly.  Scaling every row by one factor multiplies the phase-one
-objective by that factor and leaves the ratios unchanged, so each
-entering and leaving choice has the sign and the order it has on the
-``Fraction`` tableau: the pivot sequence, status, value and point are
-the same, and ``Fraction``s are built only for the returned numbers.
+is 0 pivots on integers.  Its standard form is built on ints, with no
+``Fraction`` arithmetic: the rows and right-hand sides are scaled by the
+common denominator of their entries times that of the lower bounds
+(the artificial columns keep coefficient 1), and the phase-two
+objective by its own; every row then shares one positive denominator
+``d``, and each pivot is an Edmonds-Bareiss update
+``(t_ij * p - t_ic * t_rj) // d`` that divides exactly.  Scaling every
+row by one positive factor multiplies the phase-one objective by that
+factor and leaves the ratios unchanged, so each entering and leaving
+choice has the sign and the order it has on the ``Fraction`` tableau:
+the pivot sequence, status, value and point are the same, and
+``Fraction``s are built only for the returned numbers.
 Float data, and rational data at a nonzero tolerance, keep the dense
 tableau of true entries compared within ``tol``.
 
@@ -120,11 +122,15 @@ class Outcome:
 
 
 class _Standard:
-    """Equality-form program A z = b, z >= 0, maximize c.z + const."""
+    """Equality-form program A z = b, z >= 0, maximize c.z + const, in
+    the numbers of the tableau ``arith``: the rows and right-hand sides
+    times ``scale``, ``c`` times ``c_scale`` (both 1 on the dense
+    tableau), and ``const`` as a true value."""
 
-    __slots__ = ("rows", "rhs", "c", "const", "ncols", "col_map", "nv")
+    __slots__ = ("rows", "rhs", "scale", "c", "c_scale", "const", "ncols",
+                 "col_map", "nv")
 
-    def __init__(self, prog: LinearProgram):
+    def __init__(self, prog: LinearProgram, arith):
         nv = prog.num_vars
         lbs = prog.lower_bounds if prog.lower_bounds is not None else (None,) * nv
         col_map = []
@@ -136,35 +142,44 @@ class _Standard:
             else:
                 col_map.append(("shift", ncols, lb))
                 ncols += 1
-        n_ge = len(prog.ge_lhs)
-        slack0 = ncols
-        ncols += n_ge
+        n_eq = len(prog.eq_lhs)
+        slack0 = ncols - n_eq
+        ncols += len(prog.ge_lhs)
+        num = arith.num
+        lb_scale = arith.scale(lb for lb in lbs if lb is not None)
 
-        def expand(row):
+        def expand(row, scale):
+            """``row`` and its shift ``row . lb``, both times
+            ``scale * lb_scale``: a row at ``scale`` is integral, and
+            so is a bound at ``lb_scale``."""
+            full = scale * lb_scale
             out = [0] * ncols
             shift = 0
             for a, entry in zip(row, col_map):
                 if entry[0] == "split":
+                    a = num(a, full)
                     out[entry[1]] = a
                     out[entry[2]] = -a
                 else:
-                    out[entry[1]] = a
-                    shift += a * entry[2]
+                    out[entry[1]] = num(a, full)
+                    shift += num(a, scale) * num(entry[2], lb_scale)
             return out, shift
 
+        cons = [*zip(prog.eq_lhs, prog.eq_rhs), *zip(prog.ge_lhs, prog.ge_rhs)]
+        scale = arith.scale(v for row, b in cons for v in (*row, b))
         rows, rhs = [], []
-        for row, b in zip(prog.eq_lhs, prog.eq_rhs):
-            out, shift = expand(row)
+        for k, (row, b) in enumerate(cons):
+            out, shift = expand(row, scale)
+            if k >= n_eq:
+                out[slack0 + k] = num(-1, scale * lb_scale)
             rows.append(out)
-            rhs.append(b - shift)
-        for k, (row, b) in enumerate(zip(prog.ge_lhs, prog.ge_rhs)):
-            out, shift = expand(row)
-            out[slack0 + k] = -1
-            rows.append(out)
-            rhs.append(b - shift)
+            rhs.append(num(b, scale * lb_scale) - shift)
 
-        c, const = expand(prog.objective)
-        self.rows, self.rhs, self.c, self.const = rows, rhs, c, const
+        c_scale = arith.scale(prog.objective)
+        c, const = expand(prog.objective, c_scale)
+        self.rows, self.rhs, self.scale = rows, rhs, scale * lb_scale
+        self.c, self.c_scale = c, c_scale * lb_scale
+        self.const = arith.value(const, self.c_scale)
         self.ncols, self.col_map, self.nv = ncols, col_map, nv
 
     def recover(self, z) -> tuple:
@@ -186,8 +201,12 @@ class _Dense:
         self.tol = tol
 
     @staticmethod
-    def scaled(rows):
-        return rows, 1
+    def scale(values):
+        return 1
+
+    @staticmethod
+    def num(x, scale):
+        return x
 
     @staticmethod
     def pivot(tab, obj, r, c):
@@ -210,7 +229,7 @@ class _Dense:
         return (x > y) - (x < y)
 
     @staticmethod
-    def value(x, scale=1):
+    def value(x, scale):
         return x
 
 
@@ -228,13 +247,16 @@ class _Integral:
         self.d = 1
 
     @staticmethod
-    def scaled(rows):
-        """``rows`` times the least common denominator of all entries."""
+    def scale(values):
+        """The least common denominator of ``values``."""
         # a list, not a generator: unpacking a generator into math.lcm
         # grew the heap with every call on CPython 3.11
-        scale = math.lcm(*[v.denominator for row in rows for v in row])
-        return [[v.numerator * (scale // v.denominator) for v in row]
-                for row in rows], scale
+        return math.lcm(*[v.denominator for v in values])
+
+    @staticmethod
+    def num(x, scale):
+        """``x`` times ``scale``, a multiple of its denominator."""
+        return x.numerator * (scale // x.denominator)
 
     def pivot(self, tab, obj, r, c):
         prow = tab[r]
@@ -258,8 +280,9 @@ class _Integral:
         # cross-multiplied: both rows hold a positive entry in column c
         return row[-1] * other[c] - other[-1] * row[c]
 
-    def value(self, x, scale=1):
-        return Fraction(x, self.d * scale)
+    @staticmethod
+    def value(x, scale):
+        return Fraction(x, scale)
 
 
 def _run(tab, obj, basis, width, arith, cap):
@@ -296,10 +319,9 @@ def _phase_one(std: _Standard, arith, cap):
     """Returns (tab, basis, infeasibility) with artificials eliminated."""
     m = len(std.rows)
     n = std.ncols
-    rows, scale = arith.scaled([r + [b] for r, b in zip(std.rows, std.rhs)])
     tab = []
-    for i, row in enumerate(rows):
-        row = row[:n] + [0] * m + row[n:]
+    for i, (row, b) in enumerate(zip(std.rows, std.rhs)):
+        row = row + [0] * m + [b]
         if row[-1] < 0:
             row = [-v for v in row]
         row[n + i] = 1
@@ -310,7 +332,7 @@ def _phase_one(std: _Standard, arith, cap):
         for j in range(n + m + 1):
             obj[j] -= row[j]
     _run(tab, obj, basis, n + m, arith, cap)
-    infeasibility = arith.value(-obj[-1], scale)
+    infeasibility = arith.value(-obj[-1], arith.d * std.scale)
     if infeasibility > arith.tol:
         return None, None, infeasibility
     # Pivot leftover artificials out; a row with no real pivot is redundant.
@@ -335,7 +357,7 @@ def _phase_one(std: _Standard, arith, cap):
 def _extract(std: _Standard, tab, basis, arith) -> tuple:
     z = [0] * std.ncols
     for i, b in enumerate(basis):
-        z[b] = arith.value(tab[i][-1])
+        z[b] = arith.value(tab[i][-1], arith.d)
     return std.recover(z)
 
 
@@ -350,7 +372,7 @@ def _arith(prog: LinearProgram, tol):
 def lp_feasible(prog: LinearProgram, tol=None, cap=ITERATION_CAP) -> Feasibility:
     """Phase-one feasibility check; returns a witness point when feasible."""
     arith = _arith(prog, tol)
-    std = _Standard(prog)
+    std = _Standard(prog, arith)
     tab, basis, infeas = _phase_one(std, arith, cap)
     if tab is None:
         return Feasibility(False, None, infeas)
@@ -359,11 +381,11 @@ def lp_feasible(prog: LinearProgram, tol=None, cap=ITERATION_CAP) -> Feasibility
 
 def lp_maximize(prog: LinearProgram, tol=None, cap=ITERATION_CAP) -> Outcome:
     arith = _arith(prog, tol)
-    std = _Standard(prog)
+    std = _Standard(prog, arith)
     tab, basis, _ = _phase_one(std, arith, cap)
     if tab is None:
         return Outcome(INFEASIBLE)
-    (c,), scale = arith.scaled([std.c])
+    c = std.c
     obj = [-cj * arith.d for cj in c] + [0]
     for i, row in enumerate(tab):
         cb = c[basis[i]]
@@ -373,7 +395,7 @@ def lp_maximize(prog: LinearProgram, tol=None, cap=ITERATION_CAP) -> Outcome:
     status = _run(tab, obj, basis, std.ncols, arith, cap)
     if status == UNBOUNDED:
         return Outcome(UNBOUNDED)
-    value = arith.value(obj[-1], scale) + std.const
+    value = arith.value(obj[-1], arith.d * std.c_scale) + std.const
     return Outcome(OPTIMAL, value, _extract(std, tab, basis, arith))
 
 

@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 from setopt.cli import run
-from setopt.instance import load
+from setopt.instance import from_json_dict, load
 from setopt.solver_direct import solve_direct
 from setopt.vectorizer import membership_vp
 
@@ -74,6 +74,19 @@ def test_discretize_and_distance(tmp_path, capsys):
     assert run(["distance", str(a), str(b), "--exact"]) == 0
     out = capsys.readouterr().out
     assert "distance=" in out
+
+
+def test_discretize_without_out_writes_instance_to_stdout(tmp_path, capsys):
+    src = tmp_path / "a.json"
+    dst = tmp_path / "b.json"
+    run(["example", "random_finite", "--seed", "4", "-o", str(src), "--exact"])
+    capsys.readouterr()
+    argv = ["discretize", "-i", str(src), "--exact", "--eps", "1"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert run(argv + ["-o", str(dst)]) == 0
+    assert out == dst.read_text()
+    assert from_json_dict(json.loads(out), exact=True) == load(dst, exact=True)
 
 
 def test_plot_svg_structure(tmp_path):

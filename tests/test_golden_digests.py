@@ -9,12 +9,16 @@ deliberate change of semantics, print ``_digests(_fresh_answers())``.
 
 import hashlib
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from setopt.arith import format_number
+from setopt.arith import format_number, format_vector
+from setopt.cone import validate_cone
 from setopt.errors import CapExceeded
+from setopt.imagesets import (minimal_vertices, point_margin_with_multipliers,
+                              polytope, strong_membership_slack)
 from setopt.instance import make_example
 from setopt.solver_direct import CONCEPTS, solve_direct, weak_threshold
 from setopt.vectorizer import VP_KINDS, membership_vp, minimal_p
@@ -402,3 +406,85 @@ def test_shared_instance_answers_equal_fresh_ones(fresh):
     assert {key for _, key in shared} == set(fresh)
     for (_, key), ans in shared.items():
         assert ans == fresh[key], key
+
+
+# Polytope questions under cones other than the orthant, whose float
+# cone products a_j.v round; the digests were recorded before polytope
+# images kept those products.  Both cones live in the plane, and every
+# image is asked under one cone and then the other, so a product kept
+# for the wrong cone would change an answer.
+CONES = {
+    "two_row": ([[2, 1], [1, 3]], [1, 1]),
+    "three_row": ([[1, F(1, 3)], [F(1, 5), 1], [1, F(-1, 7)]], [1, 1]),
+}
+QUESTIONS = ("point_margin", "strong_slack", "minimal_vertices")
+
+
+def _rational(rng):
+    return F(rng.randint(-12, 12), rng.randint(1, 5))
+
+
+def _polytope_answers(exact):
+    cast = (lambda v: v) if exact else float
+    cones = {cid: validate_cone([[cast(F(v)) for v in row] for row in rows],
+                                [cast(F(v)) for v in e])
+             for cid, (rows, e) in CONES.items()}
+    rng = random.Random(20)
+    out = {(cid, q): [] for cid in CONES for q in QUESTIONS}
+    for _ in range(12):
+        verts = [tuple(cast(_rational(rng)) for _ in range(2))
+                 for _ in range(rng.randint(3, 7))]
+        probes = verts + [tuple(cast(_rational(rng)) for _ in range(2))
+                          for _ in range(4)]
+        img = polytope(verts)
+        for _ in range(2):
+            for cid, cone in cones.items():
+                for b in probes:
+                    value, lam = point_margin_with_multipliers(b, img, cone)
+                    out[cid, "point_margin"].append(
+                        [format_number(value),
+                         None if lam is None else format_vector(lam)])
+                    holds, _, lam = strong_membership_slack(b, img, cone)
+                    out[cid, "strong_slack"].append(
+                        [holds, None if lam is None else format_vector(lam)])
+                out[cid, "minimal_vertices"].append(
+                    [format_vector(v) for v in minimal_vertices(img, cone)])
+    return {f"{cid}/{q}": ans for (cid, q), ans in out.items()}
+
+
+def _polytope_digests():
+    return {f"{mode}/{key}": _digest(ans)
+            for mode, exact in (("exact", True), ("float", False))
+            for key, ans in _polytope_answers(exact).items()}
+
+
+POLYTOPE_GOLDEN = {
+    'exact/two_row/point_margin':
+        '2dd56c787658733faf48f009a4b6cd728a7133685f65918ad919127ccdfe8eac',
+    'exact/two_row/strong_slack':
+        '9bd32e69674b844efcc3aeb63b1aca28d0c767a27f6f146a6fcc076c055cf28f',
+    'exact/two_row/minimal_vertices':
+        '41d851076457dbfac452e239e1e91f420368697e9f5ead797d31d50507bb24c8',
+    'exact/three_row/point_margin':
+        'ddc5e744cacd5e5f0522e87b26a39f8df02abdfcbe9d189354ba37b6cfbc54a4',
+    'exact/three_row/strong_slack':
+        '3ec3d6ca2596cf3db589d908f491af4777f498800edb3abd77ce8a3eae7b988a',
+    'exact/three_row/minimal_vertices':
+        '758782a0d07963cc86b46ca768e89e30ab542a335077d2d2ce4aa1b0c2353a15',
+    'float/two_row/point_margin':
+        'f25d470e570709c5d653bcc753b278e2de64f07b3597e1782374a9599604cd41',
+    'float/two_row/strong_slack':
+        'b36b9c7e813d52e1e4a62c7f52d8215b104d73f0aad6d02632a9cb8963ab0143',
+    'float/two_row/minimal_vertices':
+        '14fad12e4a5647a9e8b2c94fbf55a1064a028e4adeaaa566921368564654da76',
+    'float/three_row/point_margin':
+        'bc4fa4ca04f2b8100ac06f5cc2e9fcaf06d220f00a954fe32c470f4bea9b69f9',
+    'float/three_row/strong_slack':
+        'e9f684cd9a25826c8673a0bf06838d296c45437e9245baa7071b62ed67d63247',
+    'float/three_row/minimal_vertices':
+        'b4e17ddeb6616d89413ef238956886e16af925b281006139f66388cff9a4808e',
+}
+
+
+def test_polytope_answers_under_skew_cones_match_recorded_digests():
+    assert _polytope_digests() == POLYTOPE_GOLDEN

@@ -6,8 +6,9 @@ import pytest
 
 from setopt.cone import margin
 from setopt.errors import EmptyImage, ValidationError
-from setopt.imagesets import (covering_number_internal, domination_check,
-                              finite_set, hausdorff, hausdorff_sq,
+from setopt.imagesets import (_in_hull, covering_number_internal,
+                              domination_check, finite_set, hausdorff,
+                              hausdorff_sq,
                               min_elements, minimal_vertices, point_margin,
                               polytope, prune_to_extreme,
                               strong_membership_slack)
@@ -186,6 +187,53 @@ def test_prune_idempotent():
                   for _ in range(rng.randint(1, 8))]
         once = prune_to_extreme(points)
         assert set(prune_to_extreme(once)) == set(once)
+
+
+def _lp_prune(points):
+    """Reference filter: one LP per distinct point, which stays unless
+    it lies in the hull of the others."""
+    distinct = list(dict.fromkeys(points))
+    if len(distinct) == 1:
+        return tuple(distinct)
+    return tuple(p for i, p in enumerate(distinct)
+                 if not _in_hull(p, distinct[:i] + distinct[i + 1:], 0))
+
+
+def _planar_list(rng):
+    """1-9 points on a half-integer grid: scattered, a collinear run
+    among scattered points, or all on one line; often with repeats."""
+    def grid():
+        return (F(rng.randint(0, 8), 2), F(rng.randint(0, 8), 2))
+
+    n = rng.randint(1, 9)
+    kind = rng.choice(("scatter", "run", "line"))
+    scattered = {"scatter": n, "run": n // 2, "line": 0}[kind]
+    points = [grid() for _ in range(scattered)]
+    if kind != "scatter":
+        (x, y), step = grid(), (rng.randint(-2, 2), rng.randint(-2, 2))
+        points += [(x + t * step[0], y + t * step[1])
+                   for t in range(n - len(points))]
+    for _ in range(rng.randint(0, 2)):
+        points.insert(rng.randrange(len(points) + 1), rng.choice(points))
+    rng.shuffle(points)
+    return points
+
+
+def test_planar_hull_sweep_matches_lp_filter():
+    rng = random.Random(12)
+    for _ in range(3000):
+        points = _planar_list(rng)
+        assert prune_to_extreme(points) == _lp_prune(points), points
+
+
+def test_prune_lp_path_in_space_and_for_floats():
+    cube = [(F(x), F(y), F(z)) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
+    inner = [(F(1), F(1), F(1)), (F(1), F(0), F(0)), (F(2), F(1), F(2))]
+    assert prune_to_extreme(inner + cube + cube[:2]) == tuple(cube)
+    square = [(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (0.5, 0.0), (1.0, 1.0),
+              (0.0, 1.0), (1.0, 0.0)]
+    assert prune_to_extreme(square) == ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0),
+                                        (0.0, 1.0))
 
 
 def test_domination_property_holds(orthant, skew_cone):
