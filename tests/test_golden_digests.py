@@ -8,6 +8,7 @@ deliberate change of semantics, print ``_digests(_fresh_answers())``.
 """
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -488,3 +489,220 @@ POLYTOPE_GOLDEN = {
 
 def test_polytope_answers_under_skew_cones_match_recorded_digests():
     assert _polytope_digests() == POLYTOPE_GOLDEN
+
+
+# Finite answers under cones other than the orthant.  With the orthant
+# and e = (1, 1) every a_j.e is 1, so a cone coordinate a_j.y / a_j.e
+# is a point coordinate and no scale can go wrong; these cones have
+# a_j.e of 3 and 4, and of 7/6, 7/10 and 13/14.  The images have
+# fractional points, repeated points, points shared between images
+# and points exactly (1/7)e below a point of another image, so ties
+# and the distinct-witness test of the min kind are reached.  Both
+# instances share their image objects and are asked in turn, twice.
+# The digests were recorded before finite images kept cone
+# coordinates.
+FINITE_CONES = {
+    "two_row": ([[2, 1], [1, 3]], [1, 1]),
+    "three_row": ([[1, F(1, 3)], [F(1, 5), 1], [1, F(-1, 7)]], [1, F(1, 2)]),
+}
+FINITE_FAMILIES = ("point_margin", "strong_slack", "set_relation",
+                   "min_elements", "solve_direct", "weak_threshold",
+                   "membership_vp", "minimal_p", "tol")
+
+
+def _finite_images(rng, scattered):
+    images = []
+    for _ in range(6):
+        # scattered, or near the line y1 + y2 = off, along which both
+        # cones leave points incomparable, so that budgets above 1 are
+        # needed
+        pts = []
+        off = F(rng.randint(-2, 2), 2)
+        for _ in range(rng.randint(3, 6)):
+            t = F(rng.randint(-12, 12), rng.randint(1, 3))
+            pts.append((_rational(rng), _rational(rng)) if scattered else
+                       (t + F(rng.randint(-3, 3), rng.randint(1, 4)),
+                        off - t + F(rng.randint(-3, 3), rng.randint(1, 4))))
+        pts.append(pts[rng.randrange(len(pts))])
+        if images:
+            q = rng.choice(rng.choice(images))
+            pts.append(q)
+            pts.append((q[0] - F(1, 7), q[1] - F(1, 7)))
+            pts.append((q[0] - F(1, 7), q[1] - F(1, 14)))
+        rng.shuffle(pts)
+        images.append(pts)
+    return images
+
+
+def _relation_json(holds, cert):
+    return [holds, cert.kind, format_number(cert.epsilon),
+            [[format_vector(w.target),
+              None if w.point is None else format_vector(w.point),
+              None if w.multipliers is None else format_vector(w.multipliers)]
+             for w in cert.witnesses],
+            None if cert.failing_target is None
+            else format_vector(cert.failing_target)]
+
+
+def _finite_answers(exact):
+    from setopt.imagesets import finite_set, min_elements
+    from setopt.instance import build_instance
+    from setopt.setrelations import RELATION_KINDS, set_relation
+
+    cast = (lambda v: v) if exact else float
+    seventh = F(1, 7) if exact else 1 / 7
+    small = F(1, 1000) if exact else 0.001
+    rng = random.Random(31)
+    cones = {cid: validate_cone([[cast(F(v)) for v in row] for row in rows],
+                                [cast(F(v)) for v in e])
+             for cid, (rows, e) in FINITE_CONES.items()}
+    layouts = []
+    for scattered in (False, True):
+        images = [finite_set([tuple(cast(v) for v in p) for p in pts])
+                  for pts in _finite_images(rng, scattered)]
+        probes = [tuple(cast(_rational(rng)) for _ in range(2))
+                  for _ in range(6)]
+        probes += [p for img in images for p in img.points[:3]]
+        decisions = [(str(i), (cast(F(i)),)) for i in range(len(images))]
+        layouts.append((images, probes, {
+            cid: build_instance(cone, decisions, images, exact=exact)
+            for cid, cone in cones.items()}))
+    rounds = []
+    for _ in range(2):
+        out = {(cid, fam): [] for cid in FINITE_CONES
+               for fam in FINITE_FAMILIES}
+        for (images, probes, insts), cid in itertools.product(layouts, cones):
+            inst = insts[cid]
+            cone, labels = inst.cone, inst.labels
+            add = lambda fam, ans, cid=cid: out[cid, fam].append(ans)
+            for img in images:
+                for b in probes:
+                    value, lam = point_margin_with_multipliers(b, img, cone)
+                    add("point_margin", [format_number(value), lam])
+                    for eps in (0, seventh):
+                        shifted = tuple(y - eps * d for y, d in zip(b, cone.e))
+                        holds, point, lam = strong_membership_slack(
+                            shifted, img, cone)
+                        add("strong_slack", [holds, None if point is None
+                                             else format_vector(point), lam])
+                for weak in (False, True):
+                    for tol in (None, small):
+                        add("min_elements", [format_vector(p) for p in
+                                             min_elements(img, cone, weak, tol)])
+            for a in images:
+                for b in images:
+                    for kind in RELATION_KINDS:
+                        for eps in (0, seventh):
+                            add("set_relation", _relation_json(
+                                *set_relation(a, b, cone, kind, eps)))
+            for concept in CONCEPTS:
+                for eps in (0, seventh):
+                    add("solve_direct",
+                        solve_direct(inst, concept, eps).to_json_dict())
+            add("weak_threshold", {lab: format_number(v) for lab, v in
+                                   weak_threshold(inst).items()})
+            for kind in VP_KINDS:
+                for eps in (0, seventh):
+                    for p in (1, 2, 3):
+                        add("membership_vp", membership_vp(
+                            inst, p, eps, kind).to_json_dict())
+                    for lab in labels:
+                        add("minimal_p", minimal_p(
+                            inst, lab, eps, kind).to_json_dict())
+            for concept in CONCEPTS:
+                add("tol", solve_direct(inst, concept, seventh,
+                                        small).to_json_dict())
+            for kind in VP_KINDS:
+                add("tol", membership_vp(inst, 2, seventh, kind,
+                                         small).to_json_dict())
+                add("tol", minimal_p(inst, labels[-1], seventh, kind,
+                                     small).to_json_dict())
+        rounds.append({f"{cid}/{fam}": ans for (cid, fam), ans in out.items()})
+    assert rounds[0] == rounds[1]
+    return rounds[0]
+
+
+def _finite_digests():
+    return {f"{mode}/{key}": _digest(ans)
+            for mode, exact in (("exact", True), ("float", False))
+            for key, ans in _finite_answers(exact).items()}
+
+
+FINITE_GOLDEN = {
+    'exact/two_row/point_margin':
+        '6b3dd4ed2ffd70f11e0cd1d6cc45e5a0ca491255d7c5101148d7e72c3e4d5952',
+    'exact/two_row/strong_slack':
+        '73fc474018dfc702954aa069e61ae764c02e7720c24d8acb388bfbd895456ed9',
+    'exact/two_row/set_relation':
+        '3dbcfc3ba70c8227feb372e94c61f5a0be29b021232432d4cb503ca63f5b4ac7',
+    'exact/two_row/min_elements':
+        'c6a718a30c04a78e5545c10dee97227d8d5dd5544a0b2e4fe369b808a6b857f5',
+    'exact/two_row/solve_direct':
+        '2d328cf6234e39dd8b3dc27c85b958eb2c6fe987bbf119bf9c23cc6e6b0d1d20',
+    'exact/two_row/weak_threshold':
+        'd2d5a202bfe33e29686cea7c544a778a37f76c1ff364ef3ec5f816532d753046',
+    'exact/two_row/membership_vp':
+        '71264ac0d2fb7cb140f8da6e0bbdef0b0f05ddf475e344f1d31f68aea9115d8c',
+    'exact/two_row/minimal_p':
+        '8d77309ba3eeec1a3f91ab8945f50643938ed6257fbf946bc5c4bb10bc2fd624',
+    'exact/two_row/tol':
+        '64cb63b3a8d9acde733d1a157f81a8d8bbf76b10e86d9462ced0dd58d3a1e7fa',
+    'exact/three_row/point_margin':
+        '02ba57992c3ba00889bcf70b1cd2ae5726081dc70afdddb49b8b68614a76a93e',
+    'exact/three_row/strong_slack':
+        '4575b602a7820225c22d525f3b8eefcb403fb0c53887221770570be1c18341a8',
+    'exact/three_row/set_relation':
+        'b06f0508f8bea40d66233e4b49a00d91a616a0015dee84ca06e16263c73576a2',
+    'exact/three_row/min_elements':
+        'c57c74f49d67e96044f4c8ef2f505b8d968fb424cb3c285ec484b25a6b36b693',
+    'exact/three_row/solve_direct':
+        '425fc9fb83bc8dd9675ab38c14eb975bbae8ada8a4dece5f4f738ed7db3fa89d',
+    'exact/three_row/weak_threshold':
+        '962851658f211395f5d15b2cd7831a059588f81ba8f0afd06bf691eee2b2f00a',
+    'exact/three_row/membership_vp':
+        '7c89660eb7b217dd85dae77c5883382a243bd318df7d6473ab5e3d783f9346a3',
+    'exact/three_row/minimal_p':
+        '39a18a0f9d5a721960e3a87d53f12054fc5d3fa8cc6ab03a8d0a07b2e059708c',
+    'exact/three_row/tol':
+        '3e5ba29ebbdbe4cf87df6806d50beae702bae57ec2ec12d00eb6e0acb07f2b5e',
+    'float/two_row/point_margin':
+        '2b39b792bbc95428c0f05e3707b3368af5de8926d1077477d2f9f83a598798ad',
+    'float/two_row/strong_slack':
+        'bba8ccb4b3ada2a6b84de14ce89e590bf3c6e9860af40935737615116b0bb691',
+    'float/two_row/set_relation':
+        'e460cd385a4f3ce5559fe02c7ddaaddd2dd9cdd714158b8ec39e5b381d6b7951',
+    'float/two_row/min_elements':
+        'e1048dd48470eea77a060992fda5ba718398c08be4222e84ab0f0a1c82b0e96a',
+    'float/two_row/solve_direct':
+        'a759d3fd081a4615b697e9e5cb0b87c6c794544d5420db9ccc6e625c3fc0ae2b',
+    'float/two_row/weak_threshold':
+        '99847e249ce76682c0b4f529baeba5223313f5742b47f0407c5dc12a73e6e5ed',
+    'float/two_row/membership_vp':
+        '63d1004c63e56aef8c1a2e5ccebd179f06485f8e1b985707fd22393760d2fbc6',
+    'float/two_row/minimal_p':
+        '80cf052b1b015cb6b9fa4acfd010bf04284807c4fad401105d599e0101c2b61b',
+    'float/two_row/tol':
+        '6357f2b0f2592b25058a1447d930be35bbba470643ff0795dd21bcd9e998ae69',
+    'float/three_row/point_margin':
+        '4616059bd31c1d627350cd49805142e75d84bae239ec007e8e95a105dad78c5e',
+    'float/three_row/strong_slack':
+        '5464d7506e1b4d0163188e49eaf8b27fbb033d1d826cff6c2576b92579618099',
+    'float/three_row/set_relation':
+        '444d5a2d1b34ad6d44ba852e420ee667f965444122c03f34cefac4d6d8cefe76',
+    'float/three_row/min_elements':
+        'd514d8555b1f8ca24b61762bd97afd65c3f4f33134a4ba91dbbd42a369772df4',
+    'float/three_row/solve_direct':
+        'd27b2c71619cf4a94972d32d77f9265aa0e0e30552929191783728f90fb3aadc',
+    'float/three_row/weak_threshold':
+        'f2e4150776b9444bd9b67268da13321e436409ea8b72ddb6dcf202acf96f00de',
+    'float/three_row/membership_vp':
+        '3fcd63a7784101012bee7ce4675438e237cdfb683f3a5e1c6535cc3609ce8e7b',
+    'float/three_row/minimal_p':
+        '266ac806f9bbaa46918cd69962d4b2571d1df79a9bd70e250b03e745a9a99f3e',
+    'float/three_row/tol':
+        'ce3ce1484d99fa7241850e37be7b967e76dca765b375837e483e9e83a2432869',
+}
+
+
+def test_finite_answers_under_skew_cones_match_recorded_digests():
+    assert _finite_digests() == FINITE_GOLDEN
