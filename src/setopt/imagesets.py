@@ -5,10 +5,11 @@ minimal elements, the point margin against a shifted set, Hausdorff
 distance, internal covering numbers, extreme-point pruning, and the
 domination (external stability) check.
 
-A polytope image keeps the cone products ``a_j.v`` of its vertices, as
-the rows of its point-margin and strong-slack programs, for the last
-cone it was asked about; each question then builds only the products
-of its own point.  Extreme-point pruning sweeps the hull (Andrew's
+An image keeps, for the last cone asked, the cone products ``a_j.v`` of
+a polytope's vertices, or the cone coordinates ``a_j.y / a_j.e`` of a
+rational finite image's points as ints over one denominator, so that
+exact finite margins are integer arithmetic (floats keep
+``cone.margin``).  Extreme-point pruning sweeps the hull (Andrew's
 monotone chain) for exact planar vertex lists and solves one linear
 program per vertex otherwise.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .arith import (Num, Vec, dist_sq, dot, ge, gt, is_exact, num_finite,
                     resolve_tol)
@@ -32,10 +34,10 @@ POLYTOPE = "polytope"
 class ImageSet:
     kind: str                 # "finite" or "polytope"
     points: tuple             # points, or polytope vertices
-    # (cone, cone products) of a polytope for the last cone asked, set
-    # on first use by _cone_products; a class-level default, so finite
-    # images carry nothing.  Points never change, so the products stay
-    # valid while the cone is the same object.
+    # (cone, _cone_products data) for the last cone asked, set on first
+    # use; a class-level default, so an image never asked carries
+    # nothing.  Points never change, so the data stays valid while the
+    # cone is the same object.
     _products: tuple | None = field(default=None, init=False, repr=False,
                                     compare=False)
 
@@ -90,6 +92,14 @@ def min_elements(image: ImageSet, cone: Cone, weak: bool = False,
     if not image.is_finite:
         raise ValidationError("min_elements is defined for finite images only")
     tol = resolve_tol(tol, *(v for p in image.points for v in p))
+    coords = _cone_products(image, cone) if tol == 0 else None
+    if coords is not None:
+        first = {}
+        for row, p in zip(coords[0], image.points):
+            first.setdefault(row, p)
+        # an int margin is >= 1 exactly when it is > 0
+        return tuple(p for row, p in first.items() if not any(
+            w != row and _least(row, w) >= int(weak) for w in first))
     pts = _dedupe(image.points)
     kept = []
     for p in pts:
@@ -121,10 +131,10 @@ def point_margin_with_multipliers(b: Vec, image: ImageSet, cone: Cone,
                                   tol=None):
     """As ``point_margin`` but also returns the convex multipliers
     (``None`` for finite images, where the witness is the argmax point)."""
+    if image.is_finite:
+        return _finite_margin(b, image, cone)[0], None
     if len(b) != cone.m:
         raise DimMismatch("point dimension differs from cone dimension")
-    if image.is_finite:
-        return max(margin(a, b, cone) for a in image.points), None
     k = len(image.points)
     # max eps  s.t.  sum(lam) = 1,  A(b - eps*e - V lam) >= 0,  lam >= 0
     prog = LinearProgram(
@@ -155,6 +165,11 @@ def strong_membership_slack(target: Vec, image: ImageSet, cone: Cone,
     """
     tol = resolve_tol(tol, *target, *(v for p in image.points for v in p))
     if image.is_finite:
+        scaled = _scaled(image, cone, target) if tol == 0 else None
+        if scaled is not None:  # a distinct point with margin >= 0
+            rows, z, _ = scaled
+            return next(((True, a, None) for a, w in zip(image.points, rows)
+                         if w != z and _least(z, w) >= 0), (False, None, None))
         for a in image.points:
             if ge(margin(a, target, cone), 0, tol) and not _close(a, target, tol):
                 return True, a, None
@@ -178,23 +193,75 @@ def strong_membership_slack(target: Vec, image: ImageSet, cone: Cone,
     return False, None, None
 
 
-def _cone_products(image: ImageSet, cone: Cone) -> tuple:
-    """``(margin_rows, slack_rows, total, objective)`` of a polytope:
-    the point-margin rows ``(-a_j.e, -a_j.v_1, ...)``, the strong-slack
-    rows ``(-a_j.v_1, ...)``, ``total = sum_j a_j`` and the strong-slack
-    objective ``(-total.v_1, ...)``.  Kept on the image for the last
-    cone asked, which is checked by identity."""
+def _cone_products(image: ImageSet, cone: Cone):
+    """A polytope's ``(margin_rows, slack_rows, total, objective)``: rows
+    ``(-a_j.e, -a_j.v_1, ...)``, rows ``(-a_j.v_1, ...)``, ``sum_j a_j``
+    and ``(-total.v_1, ...)``.  A finite image's ``(rows, den, coef)``,
+    None unless all is rational: ``rows[i][j] / den = a_j.y_i / a_j.e``
+    in ints, so ``margin(y_i, y_k) = min_j (rows[k][j] - rows[i][j]) /
+    den`` and equal rows are equal points (A has full column rank), and
+    ``coef[j] = a_j / a_j.e``.  Kept for the cone last asked."""
     kept = image._products
     if kept is None or kept[0] is not cone:
-        verts = image.points
-        slack_rows = tuple(tuple(-dot(row, v) for v in verts)
-                           for row in cone.rows)
-        total = tuple(sum(col) for col in zip(*cone.rows))
-        kept = (cone, (
-            tuple((-de,) + r for de, r in zip(cone.row_e, slack_rows)),
-            slack_rows, total, tuple(-dot(total, v) for v in verts)))
+        kept = (cone, (_coordinates if image.is_finite else _products)(
+            image.points, cone))
         object.__setattr__(image, "_products", kept)  # frozen dataclass
     return kept[1]
+
+
+def _products(verts, cone) -> tuple:
+    slack_rows = tuple(tuple(-dot(row, v) for v in verts) for row in cone.rows)
+    total = tuple(sum(col) for col in zip(*cone.rows))
+    return (tuple((-de,) + r for de, r in zip(cone.row_e, slack_rows)),
+            slack_rows, total, tuple(-dot(total, v) for v in verts))
+
+
+def _coordinates(points, cone):
+    if not all(is_exact(v) for r in (cone.e, *cone.rows, *points) for v in r):
+        return None
+    coef = tuple(tuple(Fraction(a) / de for a in row)
+                 for row, de in zip(cone.rows, cone.row_e))
+    zs = [_target(p, coef, 1) for p in points]
+    den = math.lcm(*[d for _, d in zs])
+    return tuple(tuple(v * (den // d) for v in z) for z, d in zs), den, coef
+
+
+def _target(point, coef, den):
+    """``(ints, d)``: the cone coordinates of a rational point times
+    ``den``, as ints over a positive ``d``."""
+    z = [sum(c * y for c, y in zip(crow, point)) * den for crow in coef]
+    d = math.lcm(*[v.denominator for v in z])
+    return tuple(v.numerator * (d // v.denominator) for v in z), d
+
+
+def _scaled(image: ImageSet, cone: Cone, point):
+    """``(rows, z, den)``: the integer coordinates of a finite image's
+    points and of ``point`` over one denominator, or None."""
+    coords = _cone_products(image, cone)
+    if coords is None or not all(map(is_exact, point)):
+        return None
+    z, d = _target(point, coords[2], coords[1])
+    rows = coords[0] if d == 1 else [tuple(d * v for v in w)
+                                     for w in coords[0]]
+    return rows, z, coords[1] * d
+
+
+def _least(t, w) -> int:
+    """``min_j t_j - w_j``: the scaled margin of row ``w`` to row ``t``."""
+    return min([a - b for a, b in zip(t, w)])
+
+
+def _finite_margin(b: Vec, image: ImageSet, cone: Cone):
+    """``(point margin, i)`` of ``b`` against a finite image, ``i`` the
+    first point attaining it."""
+    if len(b) != cone.m:
+        raise DimMismatch("point dimension differs from cone dimension")
+    scaled = _scaled(image, cone, b)
+    mus = ([margin(a, b, cone) for a in image.points] if scaled is None
+           else [_least(scaled[1], w) for w in scaled[0]])
+    best = max(mus)
+    return (best if scaled is None else Fraction(best, scaled[2]),
+            mus.index(best))
 
 
 def _close(u, v, tol):

@@ -43,7 +43,7 @@ class Instance:
     images: tuple               # ImageSet, ... parallel to decisions
     metadata: dict = field(default_factory=dict, hash=False)
     exact: bool = False
-    # tol -> (point margins per image, candidate pools), filled on first
+    # tol -> [point margins per image, pools, set margins], made on first
     # use; the fields they derive from are immutable, so none goes stale
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -76,10 +76,10 @@ class Instance:
                                        for p in img.points for v in p))
 
     def _tables(self, tol):
-        """(point margins per image, pools) at tol, made on first use."""
+        """[point margins per image, pools, set margins] at tol."""
         tables = self._memo.get(tol)
         if tables is None:
-            tables = self._memo[tol] = ([{} for _ in self.images], {})
+            tables = self._memo[tol] = [[{} for _ in self.images], {}, None]
         return tables
 
     def point_margin(self, j: int, point: tuple, tol):
@@ -90,6 +90,15 @@ class Instance:
             margins[point] = point_margin_with_multipliers(
                 point, self.images[j], self.cone, tol)
         return margins[point]
+
+    def set_margins(self, tol) -> list:
+        """``S[i][k] = set_margin(F(x_i), F(x_k))``, computed once per tol."""
+        tables = self._tables(tol)
+        if tables[2] is None:
+            tables[2] = [[min(self.point_margin(i, p, tol)[0]
+                              for p in img.points) for img in self.images]
+                         for i in range(len(self.images))]
+        return tables[2]
 
     def pool(self, i: int, tol) -> tuple:
         """Minimal points of finite image ``i``, or the minimal vertices
@@ -196,7 +205,7 @@ def from_json_dict(data: dict, exact: bool = False, tol=None) -> Instance:
         if not isinstance(pts, list) or not pts:
             raise EmptyImage(f"images[{i}] has no points")
         points = [vec(p, f"images[{i}].points[{j}]") for j, p in enumerate(pts)]
-        images.append(ImageSet(im["type"], tuple(points)))
+        images.append((finite_set if im["type"] == FINITE else polytope)(points))
 
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):

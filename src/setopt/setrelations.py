@@ -21,8 +21,8 @@ from typing import Optional
 from .arith import Num, Vec, dot, ge, gt, resolve_tol, vscale, vsub
 from .cone import Cone, margin
 from .errors import DimMismatch
-from .imagesets import (ImageSet, point_margin_with_multipliers,
-                        strong_membership_slack)
+from .imagesets import (ImageSet, _finite_margin,
+                        point_margin_with_multipliers, strong_membership_slack)
 
 LOWER = "lower"
 LOWER_STRONG = "lower_strong"
@@ -80,14 +80,16 @@ def set_relation(a: ImageSet, b: ImageSet, cone: Cone, kind: str,
                                                   failing_target=target)
             witnesses.append(RelationWitness(target, point, lam))
             continue
-        mu, lam = point_margin_with_multipliers(target, a, cone, tol)
+        point = lam = None
+        if a.is_finite:  # the first point with the largest margin
+            mu, best = _finite_margin(target, a, cone)
+            point = a.points[best]
+        else:
+            mu, lam = point_margin_with_multipliers(target, a, cone, tol)
         ok = gt(mu, eps, tol) if kind == LOWER_STRICT else ge(mu, eps, tol)
         if not ok:
             return False, RelationCertificate(False, kind, eps,
                                               failing_target=target)
-        point = None
-        if a.is_finite:
-            point = max(a.points, key=lambda p: margin(p, target, cone))
         witnesses.append(RelationWitness(target, point, lam))
     return True, RelationCertificate(True, kind, eps, tuple(witnesses))
 

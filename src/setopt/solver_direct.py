@@ -69,22 +69,15 @@ class SolutionReport:
         return out
 
 
-def _set_margin(inst: Instance, i: int, j: int, tol) -> Num:
-    """set_margin(F(x_i), F(x_j)) from the instance's point margins."""
-    return min(inst.point_margin(i, pt, tol)[0] for pt in inst.images[j].points)
-
-
 def margin_matrix(inst: Instance, tol=None):
     """S[i][k] = set_margin(F(x_i), F(x_k)) for all decision pairs."""
-    tol = inst.resolve_tol(tol)
-    k = len(inst.images)
-    return [[_set_margin(inst, i, j, tol) for j in range(k)] for i in range(k)]
+    return [list(row) for row in inst.set_margins(inst.resolve_tol(tol))]
 
 
 def weak_threshold(inst: Instance, tol=None) -> dict:
     """Per label the exact shift at which weak membership begins:
     ``x in eps-weak members iff eps >= threshold(x)``."""
-    mat = margin_matrix(inst, tol)
+    mat = inst.set_margins(inst.resolve_tol(tol))
     k = len(inst.decisions)
     return {inst.decisions[j].label: max(mat[i][j] for i in range(k))
             for j in range(k)}
@@ -103,14 +96,14 @@ def solve_direct(inst: Instance, concept: str, eps: Num = 0,
     certificates = {}
     thresholds = None
 
+    mat = inst.set_margins(tol) if concept != TYPE_TWO else None
     if concept == WEAK:
         thresholds = weak_threshold(inst, tol)
         for j in range(k):
             if not gt(thresholds[labels[j]], eps, tol):
                 members.append(labels[j])
                 continue
-            dominator = next(i for i in range(k)
-                             if gt(_set_margin(inst, i, j, tol), eps, tol))
+            dominator = next(i for i in range(k) if gt(mat[i][j], eps, tol))
             _, cert = set_relation(inst.images[dominator], inst.images[j],
                                    inst.cone, LOWER_STRICT, eps, tol)
             certificates[labels[j]] = ExclusionCertificate(
@@ -129,7 +122,6 @@ def solve_direct(inst: Instance, concept: str, eps: Num = 0,
             else:
                 certificates[labels[j]] = excluded
     else:  # TYPE_ONE
-        mat = margin_matrix(inst, tol)
         for j in range(k):
             violator = None
             for i in range(k):

@@ -13,8 +13,10 @@ combinatorics over a candidate pool of minimal image points:
 * Min kind: a competitor dominates a tuple when every component is
   weakly dominated at the shift and at least one strictly so (with a
   witness distinct from the shifted component); the predicate is not
-  monotone in the tuple's value set, so subsets are enumerated by
-  increasing size under an explicit cap.
+  monotone in the tuple's value set, so a pruned depth-first search
+  meets the subsets by increasing size, in lexicographic order.
+
+Both searches refuse a question only when their node budget is spent.
 
 Pools are the minimal elements of finite images (exact at every
 budget, any shift: replacing a tuple entry by a minimal point below it
@@ -27,7 +29,6 @@ from the raw definitions over full images and serves as the oracle.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,7 +45,7 @@ VP_WEAK = "weak"
 VP_MIN = "min"
 VP_KINDS = (VP_WEAK, VP_MIN)
 
-HITTING_CAP = 24
+HITTING_CAP = 200_000
 SUBSET_CAP = 2_000_000
 TUPLE_CAP = 2_000_000
 
@@ -160,16 +161,14 @@ def min_hitting_set(sets, limit: Optional[int] = None,
 
     With ``limit`` given, returns some hitting set of size <= limit or
     ``None`` when the minimum exceeds it.  Greedy warm start, branching
-    on the smallest unhit set, lower bound from disjoint-set packing.
+    on the smallest unhit set, lower bound from disjoint-set packing;
+    ``CapExceeded`` once the search has visited ``cap`` nodes.
     """
     sets = [frozenset(s) for s in sets]
     if any(not s for s in sets):
         raise ValidationError("hitting set family must not contain empty sets")
     if not sets:
         return []
-    universe = set().union(*sets)
-    if len(universe) > cap:
-        raise CapExceeded(f"hitting-set universe of {len(universe)} exceeds cap {cap}")
 
     uniq = []
     for s in sorted(set(sets), key=lambda s: (len(s), sorted(s))):
@@ -201,8 +200,13 @@ def min_hitting_set(sets, limit: Optional[int] = None,
                 used |= s
         return count
 
+    nodes = 0
+
     def search(rem, partial):
-        nonlocal best, best_len
+        nonlocal best, best_len, nodes
+        nodes += 1
+        if nodes > cap:
+            raise CapExceeded(f"hitting-set search exceeds cap of {cap} nodes")
         if not rem:
             if len(partial) < best_len:
                 best, best_len = sorted(partial), len(partial)
@@ -227,24 +231,14 @@ def _shifted(point: Vec, eps: Num, cone) -> tuple:
     return vsub(point, vscale(eps, cone.e))
 
 
-def _strict_witness(inst, j, point, eps, tol) -> ComponentWitness:
+def _witness(inst, j, point, eps, tol, strict) -> ComponentWitness:
+    """A finite image's first point dominating ``point`` at the shift."""
     img = inst.images[j]
     if img.is_finite:
         for y in img.points:
-            if gt(margin(y, point, inst.cone), eps, tol):
+            if (gt if strict else ge)(margin(y, point, inst.cone), eps, tol):
                 return ComponentWitness(point=y)
-        raise RuntimeError("internal: strict witness requested but absent")
-    _, lam = inst.point_margin(j, point, tol)
-    return ComponentWitness(multipliers=lam)
-
-
-def _weak_witness(inst, j, point, eps, tol) -> ComponentWitness:
-    img = inst.images[j]
-    if img.is_finite:
-        for y in img.points:
-            if ge(margin(y, point, inst.cone), eps, tol):
-                return ComponentWitness(point=y)
-        raise RuntimeError("internal: weak witness requested but absent")
+        raise RuntimeError("internal: witness requested but absent")
     _, lam = inst.point_margin(j, point, tol)
     return ComponentWitness(multipliers=lam)
 
@@ -269,25 +263,23 @@ def _weak_tables(inst, pool, eps, tol):
 
 
 def _min_tables(inst, pool, eps, tol):
-    k = len(inst.decisions)
-    weakdom = [[False] * len(pool) for _ in range(k)]
-    extra = [[False] * len(pool) for _ in range(k)]
-    for j in range(k):
-        img = inst.images[j]
+    """Bitmasks over pool indices: ``weakdom[j]`` of the points x_j weakly
+    dominates at the shift, ``extra[j]`` of those with a distinct witness."""
+    weakdom, extra = [], []
+    for j, img in enumerate(inst.images):
+        w = x = 0
         for i, q in enumerate(pool):
             if not ge(inst.point_margin(j, q, tol)[0], eps, tol):
                 continue
-            weakdom[j][i] = True
-            if img.is_finite:
-                shifted = _shifted(q, eps, inst.cone)
-                extra[j][i] = any(
-                    ge(margin(y, q, inst.cone), eps, tol)
-                    and not veq(y, shifted, tol)
-                    for y in img.points)
-            else:
-                holds, _, _ = strong_membership_slack(
-                    _shifted(q, eps, inst.cone), img, inst.cone, tol)
-                extra[j][i] = holds
+            w |= 1 << i
+            shifted = _shifted(q, eps, inst.cone)
+            hit = (any(ge(margin(y, q, inst.cone), eps, tol)
+                       and not veq(y, shifted, tol) for y in img.points)
+                   if img.is_finite else
+                   strong_membership_slack(shifted, img, inst.cone, tol)[0])
+            x |= hit << i
+        weakdom.append(w)
+        extra.append(x)
     return weakdom, extra
 
 
@@ -305,7 +297,7 @@ def _weak_decide(inst, idx, pool, p, eps, tol, hitting_cap):
     for j, esc in enumerate(escape):
         if not esc:
             canonical = _pad(pool[:min(p, len(pool))], p)
-            witnesses = tuple(_strict_witness(inst, j, q, eps, tol)
+            witnesses = tuple(_witness(inst, j, q, eps, tol, True)
                               for q in canonical)
             return TupleCertificate(label, canonical, False,
                                     dominated_by=labels[j],
@@ -323,31 +315,54 @@ def _weak_decide(inst, idx, pool, p, eps, tol, hitting_cap):
     canonical = _pad([pool[i] for i in canonical_idx], p)
     dominator = next(j for j, esc in enumerate(escape)
                      if not (esc & set(canonical_idx)))
-    witnesses = tuple(_strict_witness(inst, dominator, q, eps, tol)
+    witnesses = tuple(_witness(inst, dominator, q, eps, tol, True)
                       for q in canonical)
     return TupleCertificate(label, canonical, False,
                             dominated_by=labels[dominator],
                             witnesses=witnesses)
 
 
-def _min_count(pool_size, kmax):
-    return sum(math.comb(pool_size, s) for s in range(1, kmax + 1))
-
-
-def _dominator(subset, weakdom, extra):
-    """First competitor dominating the pool-index subset, or None."""
-    return next((j for j in range(len(weakdom))
-                 if all(weakdom[j][i] for i in subset)
-                 and any(extra[j][i] for i in subset)), None)
-
-
-def _first_survivor(pool_size, kmax, weakdom, extra):
+def _first_survivor(pool_size, kmax, weakdom, extra, cap=SUBSET_CAP):
     """Smallest, then lexicographically first, subset of at most kmax
-    pool indices that no competitor dominates; None if there is none."""
+    pool indices that no competitor dominates; None if there is none.
+
+    Competitor j dominates a subset inside the bitmask ``weakdom[j]``
+    that meets ``extra[j]``.  Per size, a depth-first search adds
+    indices in increasing order, the order of ``itertools.combinations``.
+    A prefix that j dominates needs a later index outside ``weakdom[j]``;
+    it is pruned when pairwise disjoint needs outnumber the slots left.
+    ``CapExceeded`` once ``cap`` subsets have been visited."""
+    visited, full = 0, (1 << pool_size) - 1
+
+    def search(start, left, chosen, alive):
+        # alive: the competitors whose weakdom holds every chosen index
+        nonlocal visited
+        visited += 1
+        if visited > cap:
+            raise CapExceeded(f"min-kind search exceeds cap: {visited} subsets")
+        later = full >> start << start
+        used = packed = 0
+        for need in sorted((later & ~weakdom[j] for j in alive
+                            if chosen & extra[j]), key=int.bit_count):
+            if not need:
+                return None
+            if not need & used:
+                packed, used = packed + 1, used | need
+        if packed > left:
+            return None
+        if not left:
+            return chosen
+        for i in range(start, pool_size - left + 1):
+            found = search(i + 1, left - 1, chosen | 1 << i,
+                           [j for j in alive if weakdom[j] >> i & 1])
+            if found is not None:
+                return found
+        return None
+
     for size in range(1, kmax + 1):
-        for subset in itertools.combinations(range(pool_size), size):
-            if _dominator(subset, weakdom, extra) is None:
-                return subset
+        chosen = search(0, size, 0, range(len(weakdom)))
+        if chosen is not None:
+            return tuple(i for i in range(pool_size) if chosen >> i & 1)
     return None
 
 
@@ -356,7 +371,8 @@ def _min_member(inst, idx, pool, subset, p, weakdom):
     pool_idx = _pad(list(subset), p)
     surviving = {}
     for j, lab in enumerate(inst.labels):
-        pos = next((t for t in range(p) if not weakdom[j][pool_idx[t]]), None)
+        pos = next((t for t in range(p)
+                    if not weakdom[j] >> pool_idx[t] & 1), None)
         surviving[lab] = -1 if pos is None else pos
     return TupleCertificate(inst.decisions[idx].label,
                             _pad([pool[i] for i in subset], p), True,
@@ -367,22 +383,18 @@ def _min_decide(inst, idx, pool, p, eps, tol, subset_cap):
     label = inst.decisions[idx].label
     weakdom, extra = _min_tables(inst, pool, eps, tol)
     kmax = min(p, len(pool))
-    if _min_count(len(pool), kmax) > subset_cap:
-        raise CapExceeded(
-            f"min-kind subset enumeration for {label!r} exceeds cap {subset_cap}")
-    subset = _first_survivor(len(pool), kmax, weakdom, extra)
+    subset = _first_survivor(len(pool), kmax, weakdom, extra, subset_cap)
     if subset is not None:
         return _min_member(inst, idx, pool, subset, p, weakdom)
-    canonical_idx = tuple(range(kmax))
-    canonical = _pad([pool[i] for i in canonical_idx], p)
-    dom = _dominator(canonical_idx, weakdom, extra)
-    witnesses = [None] * p
+    canonical = _pad(pool[:kmax], p)
+    prefix = (1 << kmax) - 1
+    dom = next(j for j, (w, x) in enumerate(zip(weakdom, extra))
+               if not prefix & ~w and prefix & x)
+    witnesses = [_witness(inst, dom, q, eps, tol, False) for q in canonical]
     strict_pos = None
-    pool_idx = _pad(list(canonical_idx), p)
+    pool_idx = _pad(range(kmax), p)
     for t in range(p):
-        witnesses[t] = _weak_witness(inst, dom, canonical[t], eps, tol)
-    for t in range(p):
-        if extra[dom][pool_idx[t]]:
+        if extra[dom] >> pool_idx[t] & 1:
             witnesses[t] = _extra_witness(inst, dom, canonical[t], eps, tol)
             strict_pos = t
             break
@@ -453,9 +465,7 @@ def minimal_p(inst: Instance, label: str, eps: Num = 0, kind: str = VP_WEAK,
                               witness=cert,
                               incomplete=incomplete and p_star > 1)
     weakdom, extra = _min_tables(inst, pool, eps, tol)
-    if _min_count(len(pool), len(pool)) > subset_cap:
-        raise CapExceeded(f"subset enumeration for {label!r} exceeds cap")
-    subset = _first_survivor(len(pool), len(pool), weakdom, extra)
+    subset = _first_survivor(len(pool), len(pool), weakdom, extra, subset_cap)
     if subset is not None:
         size = len(subset)
         return MinimalPResult(

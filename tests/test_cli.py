@@ -158,6 +158,17 @@ def test_bad_instance_content_exit_two(tmp_path):
     assert run(["solve", "-i", str(bad)]) == 2
 
 
+def test_mixed_dimension_polytope_exit_two(tmp_path, capsys):
+    bad = tmp_path / "mixed.json"
+    bad.write_text(json.dumps({
+        "cone": {"rows": [[1, 0], [0, 1]], "e": [1, 1]},
+        "decisions": [{"label": "a", "x": [0]}],
+        "images": [{"type": "polytope", "points": [[0, 0], [1, 0, 0], [0, 1]]}],
+    }))
+    assert run(["solve", "-i", str(bad), "--exact"]) == 2
+    assert "points of mixed dimension" in capsys.readouterr().err
+
+
 def test_verify_verb_small(tmp_path, capsys):
     out_path = tmp_path / "verify.json"
     rc = run(["verify", "--seed-count", "1", "-o", str(out_path)])

@@ -3,15 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from setopt.cone import validate_cone
 from setopt.errors import CapExceeded, ValidationError, WeightNotInDualCone
 from setopt.imagesets import finite_set
 from setopt.instance import Decision, build_instance, make_example
 from setopt.setrelations import set_margin
 from setopt.solver_direct import TYPE_TWO, WEAK, solve_direct
-from setopt.vectorizer import (VP_MIN, VP_WEAK, brute_force_vp,
-                               candidate_pool, covering_p_bound,
-                               covering_p_bound_global, membership_vp,
-                               min_hitting_set, minimal_p, solve_weighted_sum)
+from setopt.vectorizer import (VP_MIN, VP_WEAK, _first_survivor,
+                               brute_force_vp, candidate_pool,
+                               covering_p_bound, covering_p_bound_global,
+                               membership_vp, min_hitting_set, minimal_p,
+                               solve_weighted_sum)
 
 
 @pytest.fixture(scope="module")
@@ -363,3 +365,91 @@ def test_minimal_p_never_at_positive_shift():
             for dec in inst.decisions:
                 res = minimal_p(inst, dec.label, eps, VP_WEAK)
                 assert res.never == (dec.label not in weak_eps)
+
+
+def _first_survivor_by_enumeration(pool_size, kmax, weakdom, extra):
+    for size in range(1, kmax + 1):
+        for subset in itertools.combinations(range(pool_size), size):
+            mask = sum(1 << i for i in subset)
+            if not any(not mask & ~w and mask & x
+                       for w, x in zip(weakdom, extra)):
+                return subset
+    return None
+
+
+def test_first_survivor_matches_enumeration():
+    import random
+    rng = random.Random(91)
+    found = none = 0
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        full = (1 << n) - 1
+        weakdom, extra = [], []
+        for _ in range(rng.randint(1, 8)):
+            # mostly dense weak sets, as pools of minimal points give
+            w = full
+            for _ in range(rng.randint(0, 3)):
+                w &= ~(1 << rng.randrange(n))
+            x = w & rng.randrange(1 << n) if rng.random() < 0.8 else w
+            weakdom.append(w)
+            extra.append(x)
+        if rng.random() < 0.1:  # a competitor dominating every subset
+            weakdom.append(full)
+            extra.append(full)
+        for kmax in range(1, n + 1):
+            want = _first_survivor_by_enumeration(n, kmax, weakdom, extra)
+            assert _first_survivor(n, kmax, weakdom, extra) == want
+            found += want is not None
+            none += want is None
+    assert found > 500 and none > 500
+
+
+def _cover_front(n_front, h, seed):
+    """Decision "0" holds an antichain of ``n_front`` points; each other
+    decision strictly dominates every front point outside its escape
+    set.  The escape sets come in ``h`` disjoint blocks of two sets that
+    share one point, so both smallest budgets of "0" are ``h``."""
+    import random
+    rng = random.Random(seed)
+    front = [(F(4 * i), F(4 * (n_front - 1 - i))) for i in range(n_front)]
+    order = list(range(n_front))
+    rng.shuffle(order)
+    images = [finite_set(front)]
+    for block in (order[b::h] for b in range(h)):
+        common, rest = block[0], block[1:]
+        cut = rng.randint(1, len(rest) - 1)
+        for esc in ({common, *rest[:cut]}, {common, *rest[cut:]}):
+            # one point strictly below each maximal run of dominated
+            # front points, and below no escape point
+            runs, run = [], []
+            for i in range(n_front):
+                if i not in esc:
+                    run.append(i)
+                elif run:
+                    runs.append(run)
+                    run = []
+            if run:
+                runs.append(run)
+            images.append(finite_set(
+                [(F(4 * r[0] - 1), F(4 * (n_front - 1 - r[-1]) - 1))
+                 for r in runs]))
+    decisions = [(str(i), (F(i),)) for i in range(len(images))]
+    return build_instance(validate_cone([[1, 0], [0, 1]], [1, 1]),
+                          decisions, images, exact=True)
+
+
+def test_large_cover_front_budgets_finish():
+    for seed in (0, 1, 2):
+        inst = _cover_front(28, 5, seed)
+        for kind in (VP_WEAK, VP_MIN):
+            # the pruned search visits a few hundred subsets here, where
+            # enumeration by size meets about 10^5 before the survivor
+            res = minimal_p(inst, "0", 0, kind, subset_cap=2000)
+            assert not res.never and res.p_star == 5
+            assert res.witness.member
+            assert "0" not in membership_vp(inst, 4, 0, kind).members
+        assert "0" not in membership_vp(inst, 2, 0, VP_WEAK).members
+    with pytest.raises(CapExceeded, match="cap: 21 subsets"):
+        minimal_p(inst, "0", 0, VP_MIN, subset_cap=20)
+    with pytest.raises(CapExceeded, match="nodes"):
+        minimal_p(inst, "0", 0, VP_WEAK, hitting_cap=0)
