@@ -544,14 +544,12 @@ def _relation_json(holds, cert):
             else format_vector(cert.failing_target)]
 
 
-def _finite_answers(exact):
-    from setopt.imagesets import finite_set, min_elements
+def _finite_layouts(exact):
+    """The two seeded layouts: ``(images, probes, {cone id: instance})``."""
+    from setopt.imagesets import finite_set
     from setopt.instance import build_instance
-    from setopt.setrelations import RELATION_KINDS, set_relation
 
     cast = (lambda v: v) if exact else float
-    seventh = F(1, 7) if exact else 1 / 7
-    small = F(1, 1000) if exact else 0.001
     rng = random.Random(31)
     cones = {cid: validate_cone([[cast(F(v)) for v in row] for row in rows],
                                 [cast(F(v)) for v in e])
@@ -567,6 +565,17 @@ def _finite_answers(exact):
         layouts.append((images, probes, {
             cid: build_instance(cone, decisions, images, exact=exact)
             for cid, cone in cones.items()}))
+    return layouts
+
+
+def _finite_answers(exact):
+    from setopt.imagesets import min_elements
+    from setopt.setrelations import RELATION_KINDS, set_relation
+
+    seventh = F(1, 7) if exact else 1 / 7
+    small = F(1, 1000) if exact else 0.001
+    layouts = _finite_layouts(exact)
+    cones = layouts[0][2]
     rounds = []
     for _ in range(2):
         out = {(cid, fam): [] for cid in FINITE_CONES
@@ -706,3 +715,57 @@ FINITE_GOLDEN = {
 
 def test_finite_answers_under_skew_cones_match_recorded_digests():
     assert _finite_digests() == FINITE_GOLDEN
+
+
+# The brute-force oracle on the same layouts and cones: its member
+# tuples in both kinds, at eps 0 and 1/7, budgets 1 to 3, and at an
+# explicit tolerance, where it compares ``cone.margin`` values.  The
+# digests were recorded before the oracle built its own integer table.
+def _oracle_answers(exact):
+    from setopt.vectorizer import brute_force_vp
+
+    seventh = F(1, 7) if exact else 1 / 7
+    small = F(1, 1000) if exact else 0.001
+    out = {}
+    for images, probes, insts in _finite_layouts(exact):
+        for cid, inst in insts.items():
+            for kind in VP_KINDS:
+                for eps in (0, seventh):
+                    for p in (1, 2, 3):
+                        out.setdefault(f"{cid}/oracle", []).append(
+                            brute_force_vp(inst, p, eps, kind).members)
+                    for p in (1, 2):
+                        out.setdefault(f"{cid}/oracle_tol", []).append(
+                            brute_force_vp(inst, p, eps, kind,
+                                           small).members)
+    return out
+
+
+def _oracle_digests():
+    return {f"{mode}/{key}": _digest(ans)
+            for mode, exact in (("exact", True), ("float", False))
+            for key, ans in _oracle_answers(exact).items()}
+
+
+ORACLE_GOLDEN = {
+    'exact/two_row/oracle':
+        '6248e62e40ba07590ad5bf123563fb43444ce69fb0750b9d0ba1f19a735eef50',
+    'exact/two_row/oracle_tol':
+        'a889f99451da3060d86b603b1347f08759c653390320822158263716c45da15b',
+    'exact/three_row/oracle':
+        'e2e0c5f600b3eff7431ce3ed242d1c0b5a1492ba2d74186a866a577ebe72dbed',
+    'exact/three_row/oracle_tol':
+        '6e1c4bb3a853c310bda0dda7debd123b1a077af6e1b6e70c9304757fcc66906c',
+    'float/two_row/oracle':
+        '6248e62e40ba07590ad5bf123563fb43444ce69fb0750b9d0ba1f19a735eef50',
+    'float/two_row/oracle_tol':
+        'a889f99451da3060d86b603b1347f08759c653390320822158263716c45da15b',
+    'float/three_row/oracle':
+        'e2e0c5f600b3eff7431ce3ed242d1c0b5a1492ba2d74186a866a577ebe72dbed',
+    'float/three_row/oracle_tol':
+        '6e1c4bb3a853c310bda0dda7debd123b1a077af6e1b6e70c9304757fcc66906c',
+}
+
+
+def test_oracle_under_skew_cones_matches_recorded_digests():
+    assert _oracle_digests() == ORACLE_GOLDEN
