@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import (Num, Vec, dist_sq, dot, ge, gt, is_exact, num_finite,
-                    resolve_tol)
+                    resolve_tol, veq)
 from .cone import Cone, margin
 from .errors import DimMismatch, EmptyImage, ValidationError
 from .lp import LinearProgram, lp_feasible, lp_maximize
@@ -103,15 +103,17 @@ def min_elements(image: ImageSet, cone: Cone, weak: bool = False,
     pts = _dedupe(image.points)
     kept = []
     for p in pts:
-        dominated = False
         for q in pts:
             if q == p:
                 continue
             mg = margin(q, p, cone)
-            if (gt(mg, 0, tol) if weak else ge(mg, 0, tol)):
-                dominated = True
+            # within tol of each other, p and q each lie below the other,
+            # so p drops only below a q it does not lie under in turn;
+            # margin(p, q) <= -mg, so that needs a look only if mg <= tol
+            if (gt(mg, 0, tol) if weak else ge(mg, 0, tol)) and (
+                    mg > tol or not ge(margin(p, q, cone), 0, tol)):
                 break
-        if not dominated:
+        else:
             kept.append(p)
     return tuple(kept)
 
@@ -171,7 +173,7 @@ def strong_membership_slack(target: Vec, image: ImageSet, cone: Cone,
             return next(((True, a, None) for a, w in zip(image.points, rows)
                          if w != z and _least(z, w) >= 0), (False, None, None))
         for a in image.points:
-            if ge(margin(a, target, cone), 0, tol) and not _close(a, target, tol):
+            if ge(margin(a, target, cone), 0, tol) and not veq(a, target, tol):
                 return True, a, None
         return False, None, None
     k = len(image.points)
@@ -262,10 +264,6 @@ def _finite_margin(b: Vec, image: ImageSet, cone: Cone):
     best = max(mus)
     return (best if scaled is None else Fraction(best, scaled[2]),
             mus.index(best))
-
-
-def _close(u, v, tol):
-    return all(abs(a - b) <= tol for a, b in zip(u, v))
 
 
 def minimal_vertices(image: ImageSet, cone: Cone, tol=None) -> tuple:

@@ -22,21 +22,25 @@ Pools are the minimal elements of finite images (exact at every
 budget, any shift: replacing a tuple entry by a minimal point below it
 preserves survival) and the minimal vertices of polytope images (exact
 once the budget reaches the pool size; below that the verdict is sound
-but flagged incomplete).  ``brute_force_vp`` re-derives membership
-from the raw definitions over full images and serves as the oracle.
+but flagged incomplete); at tol 0 finite scans compare the images' integer
+cone coordinates.  ``brute_force_vp`` re-derives membership from the raw
+definitions over full images, on a table of its own, as the oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from .arith import Num, Vec, div, format_number, format_vector, ge, gt, \
-    veq, vscale, vsub
+    is_exact, veq, vscale, vsub
 from .cone import DEFAULT_GAMMA, in_dual_cone, margin, r_epsilon_sq
 from .errors import CapExceeded, ValidationError, WeightNotInDualCone
-from .imagesets import cover_by_sq_radius, strong_membership_slack
+from .imagesets import (_least, _scaled, cover_by_sq_radius,
+                        strong_membership_slack)
 from .instance import Instance
 from .solver_direct import WEAK as DIRECT_WEAK
 from .solver_direct import solve_direct
@@ -235,9 +239,15 @@ def _witness(inst, j, point, eps, tol, strict) -> ComponentWitness:
     """A finite image's first point dominating ``point`` at the shift."""
     img = inst.images[j]
     if img.is_finite:
-        for y in img.points:
-            if (gt if strict else ge)(margin(y, point, inst.cone), eps, tol):
-                return ComponentWitness(point=y)
+        scaled = (_scaled(img, inst.cone, _shifted(point, eps, inst.cone))
+                  if tol == 0 else None)
+        # an int margin is > 0 exactly when it is >= 1
+        hits = ((y for y, r in zip(img.points, scaled[0])
+                 if _least(scaled[1], r) >= int(strict)) if scaled else
+                (y for y in img.points if (gt if strict else ge)(
+                    margin(y, point, inst.cone), eps, tol)))
+        for y in hits:
+            return ComponentWitness(point=y)
         raise RuntimeError("internal: witness requested but absent")
     _, lam = inst.point_margin(j, point, tol)
     return ComponentWitness(multipliers=lam)
@@ -273,7 +283,13 @@ def _min_tables(inst, pool, eps, tol):
                 continue
             w |= 1 << i
             shifted = _shifted(q, eps, inst.cone)
-            hit = (any(ge(margin(y, q, inst.cone), eps, tol)
+            # at tol 0, _least(z, rows[k]) is margin(y_k, q) - eps over one
+            # denominator, and only equal points have equal rows
+            scaled = (_scaled(img, inst.cone, shifted)
+                      if img.is_finite and tol == 0 else None)
+            hit = (any(r != scaled[1] and _least(scaled[1], r) >= 0
+                       for r in scaled[0]) if scaled else
+                   any(ge(margin(y, q, inst.cone), eps, tol)
                        and not veq(y, shifted, tol) for y in img.points)
                    if img.is_finite else
                    strong_membership_slack(shifted, img, inst.cone, tol)[0])
@@ -572,6 +588,12 @@ def brute_force_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
     to per-component existence; this is a logical identity, not an
     approximation, and keeps the oracle independent of the pool and
     hitting-set machinery it validates.
+
+    Margins are computed here, once per call, from no image or instance
+    cache, so a fault in the data the fast paths keep cannot reach the
+    oracle.  At tol 0 on rational data a point y becomes the ints
+    ``den * a_j.y / a_j.e`` (equal only for equal points, as A has full
+    column rank), e the all-ones vector and eps ``eps * den``.
     """
     if kind not in VP_KINDS:
         raise ValidationError(f"unknown vectorization kind {kind!r}")
@@ -584,24 +606,41 @@ def brute_force_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
     if total > cap:
         raise CapExceeded(f"{total} candidate tuples exceed cap {cap}")
 
+    cone = inst.cone
+    images = [img.points for img in inst.images]
+    gauge, unit, bar = (lambda y, q: margin(y, q, cone)), cone.e, eps
+    if tol == 0 and all(map(is_exact, (eps, *cone.e, *itertools.chain(
+            *cone.rows, *itertools.chain(*images))))):
+        z = {y: [sum(Fraction(a) * v for a, v in zip(row, y)) / de
+                 for row, de in zip(cone.rows, cone.row_e)]
+             for y in itertools.chain(*images)}
+        den = math.lcm(Fraction(eps).denominator,
+                       *(v.denominator for zy in z.values() for v in zy))
+        images = [[tuple(int(v * den) for v in z[y]) for y in pts]
+                  for pts in images]
+        gauge, unit, bar = ((lambda y, q: min([a - b for a, b in zip(q, y)])),
+                            (1,) * len(cone.rows), int(eps * den))
+
     k = len(inst.decisions)
     members = []
     for idx, dec in enumerate(inst.decisions):
-        pts = inst.images[idx].points
+        pts = images[idx]
         strict = [[False] * len(pts) for _ in range(k)]
         weakdom = [[False] * len(pts) for _ in range(k)]
         extra = [[False] * len(pts) for _ in range(k)]
-        for j in range(k):
-            for qi, q in enumerate(pts):
-                shifted = _shifted(q, eps, inst.cone)
-                for y in inst.images[j].points:
-                    mg = margin(y, q, inst.cone)
-                    if gt(mg, eps, tol):
+        for qi, q in enumerate(pts):
+            shifted = vsub(q, vscale(bar, unit))
+            for j in range(k):
+                for y in images[j]:
+                    mg = gauge(y, q)
+                    if gt(mg, bar, tol):
                         strict[j][qi] = True
-                    if ge(mg, eps, tol):
+                    if ge(mg, bar, tol):
                         weakdom[j][qi] = True
                         if not veq(y, shifted, tol):
                             extra[j][qi] = True
+                    if strict[j][qi] and extra[j][qi]:
+                        break   # no later y changes this entry
         found = False
         for tup in itertools.product(range(len(pts)), repeat=p):
             if kind == VP_WEAK:

@@ -79,6 +79,33 @@ def test_min_elements_vs_definition_oracle(orthant, skew_cone):
             assert mins <= weaks <= set(points)
 
 
+def test_min_elements_keeps_points_within_tol_of_each_other(orthant):
+    # each point lies within tol below the other; neither may remove the
+    # other, or the pool comes back empty
+    img = finite_set(pts((0, 0), (F(1, 20), F(-1, 20))))
+    for weak in (False, True):
+        assert set(min_elements(img, orthant, weak, F(1, 10))) == \
+            set(img.points)
+
+
+def test_min_elements_of_near_duplicates_never_empty(orthant, skew_cone,
+                                                     orthant_float):
+    rng = random.Random(12)
+    for _ in range(60):
+        # clusters of points at most 2/100 apart per coordinate, far
+        # below the tolerance of 1/10
+        points = [(F(cx) + F(rng.randint(-1, 1), 100),
+                   F(cy) + F(rng.randint(-1, 1), 100))
+                  for cx, cy in [(rng.randint(-3, 3), rng.randint(-3, 3))
+                                 for _ in range(rng.randint(1, 3))]
+                  for _ in range(rng.randint(2, 4))]
+        for cone, cast in ((orthant, F), (skew_cone, F),
+                           (orthant_float, float)):
+            img = finite_set([tuple(map(cast, p)) for p in points])
+            for weak in (False, True):
+                assert min_elements(img, cone, weak, cast(F(1, 10)))
+
+
 def test_point_margin_finite(orthant):
     assert point_margin((F(0), F(1)), finite_set(pts((0, 0))), orthant) == 0
     assert point_margin((F(2), F(3)),

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import itertools
+import textwrap
 from fractions import Fraction as F
 
 import pytest
@@ -286,6 +289,49 @@ def test_brute_force_caps_and_preconditions(mfdvp):
     poly = make_example("t_one", {"g": 3}, exact=True)
     with pytest.raises(ValidationError):
         brute_force_vp(poly, 1, 0, VP_WEAK)
+
+
+def test_brute_force_reads_no_cache():
+    for exact in (True, False):
+        inst = make_example("random_finite", {"seed": 3}, exact=exact)
+        for kind in (VP_WEAK, VP_MIN):
+            brute_force_vp(inst, 2, F(1, 7) if exact else 1 / 7, kind)
+            brute_force_vp(inst, 1, 0, kind, tol=F(1, 1000))
+        assert all(img._products is None for img in inst.images)
+        assert inst._memo == {}
+    tree = ast.parse(textwrap.dedent(inspect.getsource(brute_force_vp)))
+    names = ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} |
+             {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+    assert not names & {"_scaled", "_target", "_least", "_cone_products",
+                        "point_margin"}
+
+
+def test_points_within_tol_of_each_other_keep_their_decision(orthant):
+    # min_elements once dropped both points of the first image at tol
+    # 1/10: membership_vp failed on the empty pool and minimal_p
+    # answered never
+    inst = build_instance(
+        orthant, [Decision("a", (F(0),)), Decision("b", (F(1),))],
+        [finite_set([(F(0), F(0)), (F(1, 20), F(-1, 20))]),
+         finite_set([(F(5), F(5))])], exact=True)
+    for kind in (VP_WEAK, VP_MIN):
+        assert membership_vp(inst, 1, 0, kind, F(1, 10)).members == ("a",)
+        assert brute_force_vp(inst, 1, 0, kind, F(1, 10)).members == ("a",)
+        result = minimal_p(inst, "a", 0, kind, F(1, 10))
+        assert not result.never and result.p_star == 1
+
+
+def test_weak_exclusion_witness_dominates_strictly(orthant, orthant_float):
+    # (1, 0) is the first point of "b" to reach margin 0 against (1, 1),
+    # but only (0, 0) exceeds it, as the weak kind's witness must
+    for cone, cast in ((orthant, F), (orthant_float, float)):
+        inst = build_instance(
+            cone, [Decision("a", (cast(0),)), Decision("b", (cast(1),))],
+            [finite_set([(cast(1), cast(1))]),
+             finite_set([(cast(1), cast(0)), (cast(0), cast(0))])])
+        cert = membership_vp(inst, 1, 0, VP_WEAK).certificates["a"]
+        assert cert.dominated_by == "b"
+        assert cert.witnesses[0].point == (0, 0)
 
 
 def test_single_decision_always_member(orthant):
