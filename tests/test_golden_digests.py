@@ -727,7 +727,7 @@ def _oracle_answers(exact):
     seventh = F(1, 7) if exact else 1 / 7
     small = F(1, 1000) if exact else 0.001
     out = {}
-    for images, probes, insts in _finite_layouts(exact):
+    for *_, insts in _finite_layouts(exact):
         for cid, inst in insts.items():
             for kind in VP_KINDS:
                 for eps in (0, seventh):
