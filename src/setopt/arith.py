@@ -98,10 +98,6 @@ def as_float(x: Num) -> float:
     return float(x)
 
 
-def vadd(u: Vec, v: Vec) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u: Vec, v: Vec) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
 

@@ -1,15 +1,16 @@
 """Image sets: finite point lists and polytopes given by vertices.
 
 Operations on the values of a set-valued objective: minimal and weakly
-minimal elements, the point margin against a shifted set, Hausdorff
-distance, internal covering numbers, extreme-point pruning, and the
-domination (external stability) check.
+minimal elements, the point margin against a shifted set, the points
+that dominate a shifted point, Hausdorff distance, internal covering
+numbers, extreme-point pruning, and the domination (external
+stability) check.
 
 An image keeps, for the last cone asked, the cone products ``a_j.v`` of
 a polytope's vertices, or the cone coordinates ``a_j.y / a_j.e`` of a
 rational finite image's points as ints over one denominator, so that
-exact finite margins are integer arithmetic (floats keep
-``cone.margin``).  Extreme-point pruning sweeps the hull (Andrew's
+exact finite margins and dominance scans are integer arithmetic (floats
+keep ``cone.margin``).  Extreme-point pruning sweeps the hull (Andrew's
 monotone chain) for exact planar vertex lists and solves one linear
 program per vertex otherwise.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import (Num, Vec, dist_sq, dot, ge, gt, is_exact, num_finite,
-                    resolve_tol, veq)
+                    resolve_tol, veq, vscale, vsub)
 from .cone import Cone, margin
 from .errors import DimMismatch, EmptyImage, ValidationError
 from .lp import LinearProgram, lp_feasible, lp_maximize
@@ -154,28 +155,27 @@ def point_margin_with_multipliers(b: Vec, image: ImageSet, cone: Cone,
 
 
 def strong_membership_slack(target: Vec, image: ImageSet, cone: Cone,
-                            tol=None):
-    """Decide ``target in image + K \\ {0}`` with a verifiable witness.
+                            tol=None, eps: Num = 0):
+    """Decide ``target - eps*e in image + K \\ {0}`` with a verifiable
+    witness.
 
-    Finite images: scan for a distinct dominating point.  Polytopes:
-    maximize the total cone slack ``sum_j a_j.(target - V lam)`` over
-    the membership system; pointedness (full row rank) makes a zero
-    optimum collapse the cone element to the origin, so the relation
-    holds exactly when the optimum is positive.
+    Finite images: the first point of ``dominators`` distinct from the
+    shifted target.  Polytopes: maximize the total cone slack
+    ``sum_j a_j.(target - eps*e - V lam)`` over the membership system;
+    pointedness (full row rank) makes a zero optimum collapse the cone
+    element to the origin, so the relation holds exactly when the
+    optimum is positive.
 
     Returns ``(holds, witness_point, multipliers)``.
     """
-    tol = resolve_tol(tol, *target, *(v for p in image.points for v in p))
+    if tol is None:
+        tol = resolve_tol(None, eps, *target,
+                          *(v for p in image.points for v in p))
     if image.is_finite:
-        scaled = _scaled(image, cone, target) if tol == 0 else None
-        if scaled is not None:  # a distinct point with margin >= 0
-            rows, z, _ = scaled
-            return next(((True, a, None) for a, w in zip(image.points, rows)
-                         if w != z and _least(z, w) >= 0), (False, None, None))
-        for a in image.points:
-            if ge(margin(a, target, cone), 0, tol) and not veq(a, target, tol):
-                return True, a, None
-        return False, None, None
+        a = next(dominators(image, cone, target, eps, tol, distinct=True),
+                 None)
+        return (False, None, None) if a is None else (True, a, None)
+    target = vsub(target, vscale(eps, cone.e))
     k = len(image.points)
     _, ge_lhs, total, objective = _cone_products(image, cone)
     prog = LinearProgram(
@@ -193,6 +193,32 @@ def strong_membership_slack(target: Vec, image: ImageSet, cone: Cone,
     if gt(value, 0, tol):
         return True, None, tuple(out.point)
     return False, None, None
+
+
+def dominators(image: ImageSet, cone: Cone, q: Vec, eps: Num, tol,
+               strict: bool = False, distinct: bool = False):
+    """The points ``y`` of a finite image, in image order, that dominate
+    ``q`` at the shift: ``margin(y, q) >= eps`` (``> eps`` when
+    ``strict``), and ``y != q - eps*e`` when ``distinct``.
+
+    At tol 0 on rational data this compares integer cone coordinates;
+    otherwise ``cone.margin`` is compared with ``eps`` within ``tol``.
+    """
+    scaled = _scaled(image, cone, q) if tol == 0 and is_exact(eps) else None
+    if scaled is not None:
+        rows, z, den = scaled
+        shift = eps * den
+        # an int margin is > shift exactly when it is >= floor(shift) + 1;
+        # only equal points have equal rows, and no int row equals a
+        # non-integral peak
+        bar = math.floor(shift) + 1 if strict else math.ceil(shift)
+        peak = tuple(v - shift for v in z) if distinct else None
+        return (y for y, w in zip(image.points, rows)
+                if _least(z, w) >= bar and w != peak)
+    above = gt if strict else ge
+    peak = vsub(q, vscale(eps, cone.e)) if distinct else None
+    return (y for y in image.points if above(margin(y, q, cone), eps, tol)
+            and not (distinct and veq(y, peak, tol)))
 
 
 def _cone_products(image: ImageSet, cone: Cone):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import Num, Vec, dot, ge, gt, resolve_tol, vscale, vsub
+from .arith import Num, dot, ge, gt, resolve_tol, vscale, vsub
 from .cone import Cone, margin
 from .errors import DimMismatch
 from .imagesets import (ImageSet, _finite_margin,
@@ -55,10 +55,6 @@ def set_margin(a: ImageSet, b: ImageSet, cone: Cone, tol=None) -> Num:
                for pt in b.points)
 
 
-def _shifted(target: Vec, eps: Num, cone: Cone) -> tuple:
-    return vsub(target, vscale(eps, cone.e))
-
-
 def set_relation(a: ImageSet, b: ImageSet, cone: Cone, kind: str,
                  eps: Num = 0, tol=None):
     """Decide the eps-shifted relation; returns ``(holds, certificate)``."""
@@ -73,8 +69,8 @@ def set_relation(a: ImageSet, b: ImageSet, cone: Cone, kind: str,
     witnesses = []
     for target in b.points:
         if kind == LOWER_STRONG:
-            holds, point, lam = strong_membership_slack(
-                _shifted(target, eps, cone), a, cone, tol)
+            holds, point, lam = strong_membership_slack(target, a, cone,
+                                                        tol, eps)
             if not holds:
                 return False, RelationCertificate(False, kind, eps,
                                                   failing_target=target)
@@ -103,10 +99,8 @@ def verify_certificate(a: ImageSet, b: ImageSet, cone: Cone,
         target = cert.failing_target
         if target is None or tuple(target) not in set(b.points):
             return False
-        shifted = _shifted(target, eps, cone)
         if cert.kind == LOWER_STRONG:
-            holds, _, _ = strong_membership_slack(shifted, a, cone, tol)
-            return not holds
+            return not strong_membership_slack(target, a, cone, tol, eps)[0]
         mu, _ = point_margin_with_multipliers(target, a, cone, tol)
         return not (gt(mu, eps, tol) if cert.kind == LOWER_STRICT
                     else ge(mu, eps, tol))
@@ -114,7 +108,7 @@ def verify_certificate(a: ImageSet, b: ImageSet, cone: Cone,
     if targets != set(b.points):
         return False
     for w in cert.witnesses:
-        shifted = _shifted(w.target, eps, cone)
+        shifted = vsub(w.target, vscale(eps, cone.e))
         if w.point is not None:
             if tuple(w.point) not in set(a.points):
                 return False

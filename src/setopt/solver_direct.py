@@ -69,11 +69,6 @@ class SolutionReport:
         return out
 
 
-def margin_matrix(inst: Instance, tol=None):
-    """S[i][k] = set_margin(F(x_i), F(x_k)) for all decision pairs."""
-    return [list(row) for row in inst.set_margins(inst.resolve_tol(tol))]
-
-
 def weak_threshold(inst: Instance, tol=None) -> dict:
     """Per label the exact shift at which weak membership begins:
     ``x in eps-weak members iff eps >= threshold(x)``."""

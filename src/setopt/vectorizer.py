@@ -22,7 +22,8 @@ Pools are the minimal elements of finite images (exact at every
 budget, any shift: replacing a tuple entry by a minimal point below it
 preserves survival) and the minimal vertices of polytope images (exact
 once the budget reaches the pool size; below that the verdict is sound
-but flagged incomplete); at tol 0 finite scans compare the images' integer
+but flagged incomplete).  Every finite image is tested against a shifted
+pool point by ``imagesets.dominators``, which at tol 0 compares integer
 cone coordinates.  ``brute_force_vp`` re-derives membership from the raw
 definitions over full images, on a table of its own, as the oracle.
 """
@@ -35,11 +36,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arith import Num, Vec, div, format_number, format_vector, ge, gt, \
+from .arith import Num, div, format_number, format_vector, ge, gt, \
     is_exact, veq, vscale, vsub
 from .cone import DEFAULT_GAMMA, in_dual_cone, margin, r_epsilon_sq
 from .errors import CapExceeded, ValidationError, WeightNotInDualCone
-from .imagesets import (_least, _scaled, cover_by_sq_radius,
+from .imagesets import (cover_by_sq_radius, dominators,
                         strong_membership_slack)
 from .instance import Instance
 from .solver_direct import WEAK as DIRECT_WEAK
@@ -231,22 +232,11 @@ def min_hitting_set(sets, limit: Optional[int] = None,
 # Membership
 # ---------------------------------------------------------------------------
 
-def _shifted(point: Vec, eps: Num, cone) -> tuple:
-    return vsub(point, vscale(eps, cone.e))
-
-
 def _witness(inst, j, point, eps, tol, strict) -> ComponentWitness:
     """A finite image's first point dominating ``point`` at the shift."""
     img = inst.images[j]
     if img.is_finite:
-        scaled = (_scaled(img, inst.cone, _shifted(point, eps, inst.cone))
-                  if tol == 0 else None)
-        # an int margin is > 0 exactly when it is >= 1
-        hits = ((y for y, r in zip(img.points, scaled[0])
-                 if _least(scaled[1], r) >= int(strict)) if scaled else
-                (y for y in img.points if (gt if strict else ge)(
-                    margin(y, point, inst.cone), eps, tol)))
-        for y in hits:
+        for y in dominators(img, inst.cone, point, eps, tol, strict):
             return ComponentWitness(point=y)
         raise RuntimeError("internal: witness requested but absent")
     _, lam = inst.point_margin(j, point, tol)
@@ -254,9 +244,8 @@ def _witness(inst, j, point, eps, tol, strict) -> ComponentWitness:
 
 
 def _extra_witness(inst, j, point, eps, tol) -> ComponentWitness:
-    target = _shifted(point, eps, inst.cone)
-    holds, wpoint, lam = strong_membership_slack(target, inst.images[j],
-                                                 inst.cone, tol)
+    holds, wpoint, lam = strong_membership_slack(point, inst.images[j],
+                                                 inst.cone, tol, eps)
     if not holds:
         raise RuntimeError("internal: distinct witness requested but absent")
     return ComponentWitness(point=wpoint, multipliers=lam)
@@ -279,21 +268,10 @@ def _min_tables(inst, pool, eps, tol):
     for j, img in enumerate(inst.images):
         w = x = 0
         for i, q in enumerate(pool):
-            if not ge(inst.point_margin(j, q, tol)[0], eps, tol):
-                continue
-            w |= 1 << i
-            shifted = _shifted(q, eps, inst.cone)
-            # at tol 0, _least(z, rows[k]) is margin(y_k, q) - eps over one
-            # denominator, and only equal points have equal rows
-            scaled = (_scaled(img, inst.cone, shifted)
-                      if img.is_finite and tol == 0 else None)
-            hit = (any(r != scaled[1] and _least(scaled[1], r) >= 0
-                       for r in scaled[0]) if scaled else
-                   any(ge(margin(y, q, inst.cone), eps, tol)
-                       and not veq(y, shifted, tol) for y in img.points)
-                   if img.is_finite else
-                   strong_membership_slack(shifted, img, inst.cone, tol)[0])
-            x |= hit << i
+            if ge(inst.point_margin(j, q, tol)[0], eps, tol):
+                w |= 1 << i
+                x |= strong_membership_slack(q, img, inst.cone, tol,
+                                             eps)[0] << i
         weakdom.append(w)
         extra.append(x)
     return weakdom, extra
@@ -306,35 +284,34 @@ def _pad(points, p):
     return tuple(pts[:p])
 
 
+def _weak_member(inst, idx, pool, hit, p, escape):
+    """Member certificate for a hitting set of the escape sets padded to
+    budget p."""
+    pool_idx = _pad(hit, p)
+    surviving = {lab: next(t for t in range(p) if pool_idx[t] in esc)
+                 for lab, esc in zip(inst.labels, escape)}
+    return TupleCertificate(inst.decisions[idx].label,
+                            _pad([pool[i] for i in hit], p), True,
+                            surviving=surviving)
+
+
 def _weak_decide(inst, idx, pool, p, eps, tol, hitting_cap):
-    label = inst.decisions[idx].label
-    labels = inst.labels
     escape = _weak_tables(inst, pool, eps, tol)
-    for j, esc in enumerate(escape):
-        if not esc:
-            canonical = _pad(pool[:min(p, len(pool))], p)
-            witnesses = tuple(_witness(inst, j, q, eps, tol, True)
-                              for q in canonical)
-            return TupleCertificate(label, canonical, False,
-                                    dominated_by=labels[j],
-                                    witnesses=witnesses)
-    hit = min_hitting_set(escape, limit=p, cap=hitting_cap)
-    if hit is not None:
-        tuple_pts = _pad([pool[i] for i in hit], p)
-        pool_idx = _pad(hit, p)
-        surviving = {}
-        for j, esc in enumerate(escape):
-            surviving[labels[j]] = next(t for t in range(p)
-                                        if pool_idx[t] in esc)
-        return TupleCertificate(label, tuple_pts, True, surviving=surviving)
-    canonical_idx = list(range(min(p, len(pool))))
-    canonical = _pad([pool[i] for i in canonical_idx], p)
-    dominator = next(j for j, esc in enumerate(escape)
-                     if not (esc & set(canonical_idx)))
+    kmax = min(p, len(pool))
+    # a competitor with an empty escape set defeats every tuple; failing
+    # one, a budget without a hitting set has one defeating the prefix
+    dominator = next((j for j, esc in enumerate(escape) if not esc), None)
+    if dominator is None:
+        hit = min_hitting_set(escape, limit=p, cap=hitting_cap)
+        if hit is not None:
+            return _weak_member(inst, idx, pool, hit, p, escape)
+        dominator = next(j for j, esc in enumerate(escape)
+                         if not esc & set(range(kmax)))
+    canonical = _pad(pool[:kmax], p)
     witnesses = tuple(_witness(inst, dominator, q, eps, tol, True)
                       for q in canonical)
-    return TupleCertificate(label, canonical, False,
-                            dominated_by=labels[dominator],
+    return TupleCertificate(inst.decisions[idx].label, canonical, False,
+                            dominated_by=inst.labels[dominator],
                             witnesses=witnesses)
 
 
@@ -406,18 +383,13 @@ def _min_decide(inst, idx, pool, p, eps, tol, subset_cap):
     prefix = (1 << kmax) - 1
     dom = next(j for j, (w, x) in enumerate(zip(weakdom, extra))
                if not prefix & ~w and prefix & x)
-    witnesses = [_witness(inst, dom, q, eps, tol, False) for q in canonical]
-    strict_pos = None
-    pool_idx = _pad(range(kmax), p)
-    for t in range(p):
-        if extra[dom] >> pool_idx[t] & 1:
-            witnesses[t] = _extra_witness(inst, dom, canonical[t], eps, tol)
-            strict_pos = t
-            break
+    strict_pos = next(t for t in range(kmax) if extra[dom] >> t & 1)
+    witnesses = tuple(_extra_witness(inst, dom, q, eps, tol) if t == strict_pos
+                      else _witness(inst, dom, q, eps, tol, False)
+                      for t, q in enumerate(canonical))
     return TupleCertificate(label, canonical, False,
                             dominated_by=inst.labels[dom],
-                            witnesses=tuple(witnesses),
-                            strict_component=strict_pos)
+                            witnesses=witnesses, strict_component=strict_pos)
 
 
 def membership_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
@@ -474,12 +446,12 @@ def minimal_p(inst: Instance, label: str, eps: Num = 0, kind: str = VP_WEAK,
                                       incomplete=False)
         hit = min_hitting_set(escape, cap=hitting_cap)
         p_star = len(hit)
-        cert = _weak_decide(inst, idx, pool, p_star, eps, tol, hitting_cap)
         # vertex pools make p_star an upper bound only: a non-vertex
         # minimal point could hit more escape sets at once
-        return MinimalPResult(label, kind, eps, never=False, p_star=p_star,
-                              witness=cert,
-                              incomplete=incomplete and p_star > 1)
+        return MinimalPResult(
+            label, kind, eps, never=False, p_star=p_star,
+            witness=_weak_member(inst, idx, pool, hit, p_star, escape),
+            incomplete=incomplete and p_star > 1)
     weakdom, extra = _min_tables(inst, pool, eps, tol)
     subset = _first_survivor(len(pool), len(pool), weakdom, extra, subset_cap)
     if subset is not None:

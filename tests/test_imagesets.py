@@ -282,9 +282,14 @@ def test_minimal_vertices_of_fan(orthant):
 
 
 def test_strong_membership_slack_boundary(orthant):
-    seg = polytope(pts((1, 0), (0, 1)))
-    # (1,0) lies on the set but no distinct point of seg + K dominates it
-    holds, _, _ = strong_membership_slack((F(1), F(0)), seg, orthant)
-    assert not holds
-    holds, _, lam = strong_membership_slack((F(2), F(1)), seg, orthant)
-    assert holds and lam is not None
+    ends = pts((1, 0), (0, 1))
+    for seg in (polytope(ends), finite_set(ends)):
+        for eps in (F(0), F(1, 3)):
+            # (1,0) lies on the set but no distinct point of seg + K
+            # dominates it; the test shifts the target by eps*e first
+            holds, _, _ = strong_membership_slack((1 + eps, eps), seg,
+                                                  orthant, eps=eps)
+            assert not holds
+            holds, point, lam = strong_membership_slack(
+                (2 + eps, 1 + eps), seg, orthant, eps=eps)
+            assert holds and (point if seg.is_finite else lam) is not None

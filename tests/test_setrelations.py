@@ -112,16 +112,29 @@ def test_right_argument_encoding_agreement(orthant):
         set_margin(left, finite_set(verts), orthant)
 
 
-def test_certificates_reverify(orthant):
+def test_certificates_reverify(boundary_cases):
     inst = make_example("mfdvp", exact=True)
-    for i, j in itertools.product(range(3), repeat=2):
+    cases = [(inst.images[i], inst.images[j], inst.cone, eps, None)
+             for i, j in itertools.product(range(3), repeat=2)
+             for eps in (F(0), F(1, 2))]
+    # float pairs a few ulps from the boundary of the shifted test
+    cases += [(finite_set([y]), finite_set([q]), cone, eps, tol)
+              for cone, q, y, eps, tol in boundary_cases]
+    for a, b, cone, eps, tol in cases:
         for kind in (LOWER, LOWER_STRONG, LOWER_STRICT):
-            for eps in (F(0), F(1, 2)):
-                holds, cert = set_relation(inst.images[i], inst.images[j],
-                                           inst.cone, kind, eps)
-                assert cert.holds == holds
-                assert verify_certificate(inst.images[i], inst.images[j],
-                                          inst.cone, cert)
+            holds, cert = set_relation(a, b, cone, kind, eps, tol)
+            assert cert.holds == holds
+            assert verify_certificate(a, b, cone, cert, tol)
+
+
+def test_strong_relation_float_shift_reverifies(orthant_float):
+    # the strong test once compared margin(y, q - eps*e) with 0, and
+    # the checker margin(y, q) with eps: here it held and the checker
+    # rejected its certificate
+    a = finite_set([(-0.699999999, 2.700000000000003)])
+    b = finite_set([(0.3, 4.0)])
+    holds, cert = set_relation(a, b, orthant_float, LOWER_STRONG, 1.0)
+    assert verify_certificate(a, b, orthant_float, cert)
 
 
 def test_polytope_certificates_reverify():

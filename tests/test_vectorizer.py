@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from setopt import imagesets, vectorizer
 from setopt.cone import validate_cone
 from setopt.errors import CapExceeded, ValidationError, WeightNotInDualCone
 from setopt.imagesets import finite_set
@@ -306,6 +307,35 @@ def test_brute_force_reads_no_cache():
                         "point_margin"}
 
 
+def test_vectorizer_uses_no_private_name_of_imagesets():
+    # the shifted dominance test and its exact/float fork live in imagesets
+    tree = ast.parse(inspect.getsource(vectorizer))
+    used = ({a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+             for a in n.names} |
+            {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} |
+            {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+    private = {name for scope in (imagesets, imagesets.ImageSet)
+               for name in vars(scope)
+               if name.startswith("_") and not name.startswith("__")}
+    assert private and not used & private
+
+
+def test_float_dominance_at_the_tolerance_boundary(orthant_float,
+                                                   boundary_cases):
+    # the min kind's extra bit and its witness once used two float
+    # formulas, and membership_vp raised where they disagreed
+    cases = [(orthant_float, (0.3, 0.5),
+              (1.0000000000000003e-09, 0.20000000099999996), 0.3, None),
+             (orthant_float, (1.0, 1.5), (0.2, 0.7), 0.8, 0.0)]
+    for cone, q, y, eps, tol in cases + boundary_cases:
+        inst = build_instance(
+            cone, [Decision("a", (0.0,)), Decision("b", (1.0,))],
+            [finite_set([q]), finite_set([y])])
+        for kind in (VP_WEAK, VP_MIN):
+            assert membership_vp(inst, 1, eps, kind, tol).members == \
+                brute_force_vp(inst, 1, eps, kind, tol).members
+
+
 def test_points_within_tol_of_each_other_keep_their_decision(orthant):
     # min_elements once dropped both points of the first image at tol
     # 1/10: membership_vp failed on the empty pool and minimal_p
@@ -485,15 +515,17 @@ def _cover_front(n_front, h, seed):
 
 
 def test_large_cover_front_budgets_finish():
-    for seed in (0, 1, 2):
-        inst = _cover_front(28, 5, seed)
+    # the cap checks below run on the last front, of 28 points
+    for (n_front, h), seed in itertools.product(((100, 10), (28, 5)),
+                                                (0, 1, 2)):
+        inst = _cover_front(n_front, h, seed)
         for kind in (VP_WEAK, VP_MIN):
             # the pruned search visits a few hundred subsets here, where
             # enumeration by size meets about 10^5 before the survivor
             res = minimal_p(inst, "0", 0, kind, subset_cap=2000)
-            assert not res.never and res.p_star == 5
+            assert not res.never and res.p_star == h
             assert res.witness.member
-            assert "0" not in membership_vp(inst, 4, 0, kind).members
+            assert "0" not in membership_vp(inst, h - 1, 0, kind).members
         assert "0" not in membership_vp(inst, 2, 0, VP_WEAK).members
     with pytest.raises(CapExceeded, match="cap: 21 subsets"):
         minimal_p(inst, "0", 0, VP_MIN, subset_cap=20)
