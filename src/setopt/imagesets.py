@@ -95,6 +95,7 @@ def min_elements(image: ImageSet, cone: Cone, weak: bool = False,
     tol = resolve_tol(tol, *(v for p in image.points for v in p))
     coords = _cone_products(image, cone) if tol == 0 else None
     if coords is not None:
+        # not via dominators, which converts each point's row again per call
         first = {}
         for row, p in zip(coords[0], image.points):
             first.setdefault(row, p)

@@ -93,8 +93,9 @@ def set_relation(a: ImageSet, b: ImageSet, cone: Cone, kind: str,
 def verify_certificate(a: ImageSet, b: ImageSet, cone: Cone,
                        cert: RelationCertificate, tol=None) -> bool:
     """Re-check a certificate from its raw ingredients only."""
-    tol = resolve_tol(tol, cert.epsilon, *(v for p in a.points for v in p))
     eps = cert.epsilon
+    tol = resolve_tol(tol, eps, *(v for p in a.points for v in p),
+                      *(v for p in b.points for v in p))
     if not cert.holds:
         target = cert.failing_target
         if target is None or tuple(target) not in set(b.points):

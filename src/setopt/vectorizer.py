@@ -3,18 +3,23 @@
 Attaching a budget ``p`` of slack vectors ``y^1..y^p in F(x)`` to each
 decision turns the set problem into a family of multiobjective
 problems ordered by the product cone.  Decision membership reduces to
-combinatorics over a candidate pool of minimal image points:
+combinatorics over a candidate pool of minimal image points: one
+table per decision, shift and tolerance holds each competitor's
+bitmask of the pool points it dominates, and one search over it
+answers membership at budget p (limited to p points) and the smallest
+sufficient budget (unlimited).
 
 * Weak kind: a tuple survives a competitor exactly when some component
-  escapes the competitor's strictly-dominated region, so membership at
-  budget p is a hitting-set question over the escape sets (one per
-  competitor), solved exactly by branch and bound.
+  escapes the competitor's strictly-dominated region, so the search is
+  a hitting-set question over the complements of the bitmasks (one
+  per competitor), solved exactly by branch and bound.
 
 * Min kind: a competitor dominates a tuple when every component is
   weakly dominated at the shift and at least one strictly so (with a
-  witness distinct from the shifted component); the predicate is not
-  monotone in the tuple's value set, so a pruned depth-first search
-  meets the subsets by increasing size, in lexicographic order.
+  witness distinct from the shifted component, a second bitmask); the
+  predicate is not monotone in the tuple's value set, so a pruned
+  depth-first search meets the subsets by increasing size, in
+  lexicographic order.
 
 Both searches refuse a question only when their node budget is spent.
 
@@ -232,87 +237,59 @@ def min_hitting_set(sets, limit: Optional[int] = None,
 # Membership
 # ---------------------------------------------------------------------------
 
-def _witness(inst, j, point, eps, tol, strict) -> ComponentWitness:
-    """A finite image's first point dominating ``point`` at the shift."""
+def _witness(inst, j, q, eps, tol, strict=False,
+             distinct=False) -> ComponentWitness:
+    """Image j's evidence that it dominates ``q`` at the shift: a finite
+    image's first dominating point, a polytope's margin multipliers, or
+    with ``distinct`` the strong-slack witness other than ``q - eps*e``."""
     img = inst.images[j]
+    if distinct:
+        holds, point, lam = strong_membership_slack(q, img, inst.cone, tol,
+                                                    eps)
+        if not holds:
+            raise RuntimeError("internal: distinct witness requested but absent")
+        return ComponentWitness(point=point, multipliers=lam)
     if img.is_finite:
-        for y in dominators(img, inst.cone, point, eps, tol, strict):
+        for y in dominators(img, inst.cone, q, eps, tol, strict):
             return ComponentWitness(point=y)
         raise RuntimeError("internal: witness requested but absent")
-    _, lam = inst.point_margin(j, point, tol)
-    return ComponentWitness(multipliers=lam)
+    return ComponentWitness(multipliers=inst.point_margin(j, q, tol)[1])
 
 
-def _extra_witness(inst, j, point, eps, tol) -> ComponentWitness:
-    holds, wpoint, lam = strong_membership_slack(point, inst.images[j],
-                                                 inst.cone, tol, eps)
-    if not holds:
-        raise RuntimeError("internal: distinct witness requested but absent")
-    return ComponentWitness(point=wpoint, multipliers=lam)
-
-
-def _weak_tables(inst, pool, eps, tol):
-    """Escape sets: C[j] = pool indices not strictly dominated by x_j."""
-    escape = []
-    for j in range(len(inst.decisions)):
-        escape.append(frozenset(
-            i for i, q in enumerate(pool)
-            if not gt(inst.point_margin(j, q, tol)[0], eps, tol)))
-    return escape
-
-
-def _min_tables(inst, pool, eps, tol):
-    """Bitmasks over pool indices: ``weakdom[j]`` of the points x_j weakly
-    dominates at the shift, ``extra[j]`` of those with a distinct witness."""
-    weakdom, extra = [], []
+def _table(inst, kind, pool, eps, tol):
+    """Per competitor x_j, the bitmask ``dom[j]`` of the pool indices it
+    dominates at the shift (strictly for the weak kind, weakly for the
+    min kind) and, for the min kind, ``extra[j]`` of those with a witness
+    distinct from the shifted point; ``(dom, None)`` for the weak kind."""
+    weak = kind == VP_WEAK
+    dom, extra = [], []
     for j, img in enumerate(inst.images):
-        w = x = 0
+        d = x = 0
         for i, q in enumerate(pool):
-            if ge(inst.point_margin(j, q, tol)[0], eps, tol):
-                w |= 1 << i
-                x |= strong_membership_slack(q, img, inst.cone, tol,
-                                             eps)[0] << i
-        weakdom.append(w)
+            mu = inst.point_margin(j, q, tol)[0]
+            if gt(mu, eps, tol) if weak else ge(mu, eps, tol):
+                d |= 1 << i
+                if not weak:
+                    x |= strong_membership_slack(q, img, inst.cone, tol,
+                                                 eps)[0] << i
+        dom.append(d)
         extra.append(x)
-    return weakdom, extra
+    return dom, None if weak else extra
 
 
-def _pad(points, p):
-    pts = list(points)
-    while len(pts) < p:
-        pts.append(pts[0])
-    return tuple(pts[:p])
-
-
-def _weak_member(inst, idx, pool, hit, p, escape):
-    """Member certificate for a hitting set of the escape sets padded to
-    budget p."""
-    pool_idx = _pad(hit, p)
-    surviving = {lab: next(t for t in range(p) if pool_idx[t] in esc)
-                 for lab, esc in zip(inst.labels, escape)}
-    return TupleCertificate(inst.decisions[idx].label,
-                            _pad([pool[i] for i in hit], p), True,
-                            surviving=surviving)
-
-
-def _weak_decide(inst, idx, pool, p, eps, tol, hitting_cap):
-    escape = _weak_tables(inst, pool, eps, tol)
-    kmax = min(p, len(pool))
-    # a competitor with an empty escape set defeats every tuple; failing
-    # one, a budget without a hitting set has one defeating the prefix
-    dominator = next((j for j, esc in enumerate(escape) if not esc), None)
-    if dominator is None:
-        hit = min_hitting_set(escape, limit=p, cap=hitting_cap)
-        if hit is not None:
-            return _weak_member(inst, idx, pool, hit, p, escape)
-        dominator = next(j for j, esc in enumerate(escape)
-                         if not esc & set(range(kmax)))
-    canonical = _pad(pool[:kmax], p)
-    witnesses = tuple(_witness(inst, dominator, q, eps, tol, True)
-                      for q in canonical)
-    return TupleCertificate(inst.decisions[idx].label, canonical, False,
-                            dominated_by=inst.labels[dominator],
-                            witnesses=witnesses)
+def _search(table, size, limit, hitting_cap, subset_cap):
+    """Increasing pool indices of a smallest index set that no competitor
+    dominates, with at most ``limit`` members (None: any number), or
+    None.  Weak kind: the set must hit every complement of ``dom[j]``,
+    which fails outright once some x_j dominates the whole pool."""
+    dom, extra = table
+    if extra is not None:
+        kmax = size if limit is None else min(limit, size)
+        return _first_survivor(size, kmax, dom, extra, subset_cap)
+    if (1 << size) - 1 in dom:
+        return None
+    return min_hitting_set([[i for i in range(size) if not d >> i & 1]
+                            for d in dom], limit=limit, cap=hitting_cap)
 
 
 def _first_survivor(pool_size, kmax, weakdom, extra, cap=SUBSET_CAP):
@@ -359,37 +336,49 @@ def _first_survivor(pool_size, kmax, weakdom, extra, cap=SUBSET_CAP):
     return None
 
 
-def _min_member(inst, idx, pool, subset, p, weakdom):
-    """Member certificate for a surviving subset padded to budget p."""
-    pool_idx = _pad(list(subset), p)
-    surviving = {}
-    for j, lab in enumerate(inst.labels):
-        pos = next((t for t in range(p)
-                    if not weakdom[j] >> pool_idx[t] & 1), None)
-        surviving[lab] = -1 if pos is None else pos
+def _pad(points, p):
+    pts = list(points)
+    while len(pts) < p:
+        pts.append(pts[0])
+    return tuple(pts[:p])
+
+
+def _member(inst, idx, pool, chosen, p, dom):
+    """Member certificate: the chosen pool points padded to budget p and,
+    per competitor, the first component it does not dominate (-1: none)."""
+    pool_idx = _pad(chosen, p)
+    surviving = {lab: next((t for t, i in enumerate(pool_idx)
+                            if not d >> i & 1), -1)
+                 for lab, d in zip(inst.labels, dom)}
     return TupleCertificate(inst.decisions[idx].label,
-                            _pad([pool[i] for i in subset], p), True,
+                            _pad([pool[i] for i in chosen], p), True,
                             surviving=surviving)
 
 
-def _min_decide(inst, idx, pool, p, eps, tol, subset_cap):
-    label = inst.decisions[idx].label
-    weakdom, extra = _min_tables(inst, pool, eps, tol)
+def _excluded(inst, idx, pool, p, eps, tol, table):
+    """Non-member certificate: the pool prefix padded to budget p, the
+    first competitor dominating it, and its witnesses.  A weak-kind
+    competitor dominating the whole pool is named first; a min-kind one
+    must also dominate some prefix point with a distinct witness, the
+    first such being the ``strict_component``."""
+    dom, extra = table
     kmax = min(p, len(pool))
-    subset = _first_survivor(len(pool), kmax, weakdom, extra, subset_cap)
-    if subset is not None:
-        return _min_member(inst, idx, pool, subset, p, weakdom)
+    prefix, full = (1 << kmax) - 1, (1 << len(pool)) - 1
+    strict_pos = None
+    if extra is None:
+        j = min((j for j, d in enumerate(dom) if not prefix & ~d),
+                key=lambda j: dom[j] != full)
+    else:
+        j = next(j for j, (d, x) in enumerate(zip(dom, extra))
+                 if not prefix & ~d and prefix & x)
+        strict_pos = next(t for t in range(kmax) if extra[j] >> t & 1)
     canonical = _pad(pool[:kmax], p)
-    prefix = (1 << kmax) - 1
-    dom = next(j for j, (w, x) in enumerate(zip(weakdom, extra))
-               if not prefix & ~w and prefix & x)
-    strict_pos = next(t for t in range(kmax) if extra[dom] >> t & 1)
-    witnesses = tuple(_extra_witness(inst, dom, q, eps, tol) if t == strict_pos
-                      else _witness(inst, dom, q, eps, tol, False)
+    witnesses = tuple(_witness(inst, j, q, eps, tol, strict=extra is None,
+                               distinct=t == strict_pos)
                       for t, q in enumerate(canonical))
-    return TupleCertificate(label, canonical, False,
-                            dominated_by=inst.labels[dom],
-                            witnesses=witnesses, strict_component=strict_pos)
+    return TupleCertificate(inst.decisions[idx].label, canonical, False,
+                            dominated_by=inst.labels[j], witnesses=witnesses,
+                            strict_component=strict_pos)
 
 
 def membership_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
@@ -410,14 +399,15 @@ def membership_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
         pr = candidate_pool(inst, dec.label, p, tol)
         if not pr.complete:
             incomplete.append(dec.label)
-        if kind == VP_WEAK:
-            cert = _weak_decide(inst, idx, pr.points, p, eps, tol,
-                                hitting_cap)
+        pool = pr.points
+        table = _table(inst, kind, pool, eps, tol)
+        chosen = _search(table, len(pool), p, hitting_cap, subset_cap)
+        if chosen is None:
+            cert = _excluded(inst, idx, pool, p, eps, tol, table)
         else:
-            cert = _min_decide(inst, idx, pr.points, p, eps, tol, subset_cap)
-        certificates[dec.label] = cert
-        if cert.member:
+            cert = _member(inst, idx, pool, chosen, p, table[0])
             members.append(dec.label)
+        certificates[dec.label] = cert
     return VpReport(kind, p, eps, tuple(members), certificates,
                     tuple(incomplete))
 
@@ -435,35 +425,24 @@ def minimal_p(inst: Instance, label: str, eps: Num = 0, kind: str = VP_WEAK,
     idx = inst.index_of(label)
     pool = inst.pool(idx, tol)
     incomplete = not inst.images[idx].is_finite
-    if kind == VP_WEAK:
-        escape = _weak_tables(inst, pool, eps, tol)
-        for j, esc in enumerate(escape):
-            if not esc:
-                # every pool element strictly dominated: no tuple at any
-                # budget survives this competitor
-                return MinimalPResult(label, kind, eps, never=True,
-                                      reason=inst.labels[j],
-                                      incomplete=False)
-        hit = min_hitting_set(escape, cap=hitting_cap)
-        p_star = len(hit)
-        # vertex pools make p_star an upper bound only: a non-vertex
-        # minimal point could hit more escape sets at once
-        return MinimalPResult(
-            label, kind, eps, never=False, p_star=p_star,
-            witness=_weak_member(inst, idx, pool, hit, p_star, escape),
-            incomplete=incomplete and p_star > 1)
-    weakdom, extra = _min_tables(inst, pool, eps, tol)
-    subset = _first_survivor(len(pool), len(pool), weakdom, extra, subset_cap)
-    if subset is not None:
-        size = len(subset)
-        return MinimalPResult(
-            label, kind, eps, never=False, p_star=size,
-            witness=_min_member(inst, idx, pool, subset, size, weakdom),
-            incomplete=incomplete and size > 1)
-    # vertex pools cannot certify a Never verdict for the min kind:
-    # non-vertex tuples remain unexplored
-    return MinimalPResult(label, kind, eps, never=True,
-                          incomplete=incomplete)
+    table = _table(inst, kind, pool, eps, tol)
+    chosen = _search(table, len(pool), None, hitting_cap, subset_cap)
+    if chosen is None:
+        # a weak-kind competitor strictly dominating the whole pool
+        # defeats every tuple; vertex pools cannot certify a min-kind
+        # Never, as non-vertex tuples remain unexplored
+        weak = kind == VP_WEAK
+        reason = (inst.labels[table[0].index((1 << len(pool)) - 1)]
+                  if weak else None)
+        return MinimalPResult(label, kind, eps, never=True, reason=reason,
+                              incomplete=incomplete and not weak)
+    p_star = len(chosen)
+    # vertex pools make p_star an upper bound only: a non-vertex minimal
+    # point could escape more competitors at once
+    return MinimalPResult(
+        label, kind, eps, never=False, p_star=p_star,
+        witness=_member(inst, idx, pool, chosen, p_star, table[0]),
+        incomplete=incomplete and p_star > 1)
 
 
 # ---------------------------------------------------------------------------

@@ -580,7 +580,7 @@ def _vp_min_members_retain_image_quality(inst, config):
     for dec, img in zip(inst.decisions, inst.images):
         if not any(ge(setrelations.set_margin(inst.image_of(r), img,
                                               inst.cone), 0, 0)
-                   for r in retained):
+                   for r in sorted(retained)):
             return {"label": dec.label, "retained": sorted(retained)}
     return None
 
@@ -600,7 +600,7 @@ def _vp_positive_eps_union_laws(inst, config):
 def _vp_covering_budget_sufficient(inst, config):
     direct_w0 = _members(inst, solver_direct.WEAK, 0)
     for eps in (e for e in config.eps_grid if e > 0):
-        for lab in direct_w0:
+        for lab in sorted(direct_w0):
             bound = vectorizer.covering_p_bound(inst, lab, eps)
             if lab not in _vp_members(inst, bound, eps, vectorizer.VP_WEAK):
                 return {"label": lab, "eps": format_number(eps),

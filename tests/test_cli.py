@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -176,6 +177,9 @@ def test_verify_verb_small(tmp_path, capsys):
     assert "hard failures" in capsys.readouterr().out
     data = json.loads(out_path.read_text())
     assert data["failed_hard"] == 0
+    # the report's bytes are part of the contract, not only its verdicts
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "3a4b2a418ffe7615ceb501fbc82e75283d3d4020e28f55ec35c70252a6bce35d")
 
 
 def test_convex_exp_verb(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 from setopt.imagesets import finite_set, polytope
 from setopt.instance import make_example
 from setopt.setrelations import (LOWER, LOWER_STRICT, LOWER_STRONG,
-                                 set_margin, set_relation, verify_certificate)
+                                 RELATION_KINDS, RelationWitness, set_margin,
+                                 set_relation, verify_certificate)
 
 
 def pts(*coords):
@@ -145,3 +147,84 @@ def test_polytope_certificates_reverify():
                                        inst.cone, kind, 0)
             assert verify_certificate(inst.images[i], inst.images[j],
                                       inst.cone, cert)
+
+
+def test_checker_resolves_tol_over_both_images(orthant):
+    # an exact left image and a float right image: the relation holds
+    # within the float tolerance, so its certificate must re-verify
+    a = finite_set([(0, 0)])
+    b = finite_set([(1.0 - 1e-12, 1.0)])
+    holds, cert = set_relation(a, b, orthant, LOWER, 1)
+    assert holds
+    assert verify_certificate(a, b, orthant, cert)
+    # a witness falling short by more than the tolerance is still rejected
+    short = finite_set([(1.0 - 1e-6, 1.0)])
+    assert not set_relation(a, short, orthant, LOWER, 1)[0]
+    forged = replace(cert, witnesses=(
+        RelationWitness(short.points[0], point=(0, 0)),))
+    assert not verify_certificate(a, short, orthant, forged)
+
+
+def test_strong_polytope_certificate_reverifies(orthant):
+    a = polytope(pts((0, 0), (1, 0), (0, 1)))
+    b = polytope(pts((2, 2), (3, 2), (2, 3)))
+    holds, cert = set_relation(a, b, orthant, LOWER_STRONG, 1)
+    assert holds
+    assert all(w.multipliers is not None for w in cert.witnesses)
+    assert verify_certificate(a, b, orthant, cert)
+
+
+def test_checker_rejects_each_corruption(orthant):
+    # one target (2, 2) at eps 1, so the shifted target is (1, 1)
+    fa = finite_set(pts((0, 0), (1, 1), (1, 3)))
+    pa = polytope(pts((0, 0), (2, 0), (0, 2)))
+    b = finite_set(pts((2, 2)))
+
+    def lam(weights):   # convex weights over the vertices of pa
+        return tuple(F(weights.get(v, 0)) for v in pa.points)
+
+    def check(a, kind, forged):
+        holds, cert = set_relation(a, b, orthant, kind, 1)
+        assert holds and verify_certificate(a, b, orthant, cert)
+        return verify_certificate(a, b, orthant, forged(cert))
+
+    def witness(**changes):
+        return lambda cert: replace(cert, witnesses=(
+            replace(cert.witnesses[0], **changes),))
+
+    # failing target missing or outside B
+    holds, failed = set_relation(fa, b, orthant, LOWER, 3)
+    assert not holds and verify_certificate(fa, b, orthant, failed)
+    for target in (None, pts((5, 5))[0]):
+        assert not verify_certificate(
+            fa, b, orthant, replace(failed, failing_target=target))
+    for kind in RELATION_KINDS:
+        # target set different from B; neither a point nor multipliers
+        assert not check(fa, kind, lambda c: replace(c, witnesses=()))
+        assert not check(fa, kind, witness(target=pts((5, 5))[0]))
+        assert not check(pa, kind, witness(point=None, multipliers=None))
+        # witness point outside A
+        assert not check(fa, kind, witness(point=pts((-1, -1))[0]))
+        # multipliers of the wrong length, negative, not summing to 1
+        assert not check(pa, kind, witness(multipliers=(F(1), F(0))))
+        assert not check(pa, kind, witness(
+            multipliers=lam({(0, 0): F(3, 2), (2, 0): F(-1, 2)})))
+        assert not check(pa, kind, witness(
+            multipliers=lam({(0, 0): F(1, 2)})))
+    # margin of (1, 3) is -1: below eps for LOWER and STRONG
+    for kind in (LOWER, LOWER_STRONG):
+        assert not check(fa, kind, witness(point=pts((1, 3))[0]))
+        # y = (2, 0) leaves slack -1 in the first row
+        assert not check(pa, kind, witness(multipliers=lam({(2, 0): 1})))
+    # margin of (1, 1) is exactly eps: not above it for STRICT
+    assert not check(fa, LOWER_STRICT, witness(point=pts((1, 1))[0]))
+    # ... and it is the shifted target itself for STRONG
+    assert not check(fa, LOWER_STRONG, witness(point=pts((1, 1))[0]))
+    # y = (1, 0) leaves a zero slack: fine for LOWER, not for STRICT
+    half = witness(multipliers=lam({(0, 0): F(1, 2), (2, 0): F(1, 2)}))
+    assert check(pa, LOWER, half)
+    assert not check(pa, LOWER_STRICT, half)
+    # y = (1, 1) leaves zero total slack: fine for LOWER, not for STRONG
+    shifted = witness(multipliers=lam({(2, 0): F(1, 2), (0, 2): F(1, 2)}))
+    assert check(pa, LOWER, shifted)
+    assert not check(pa, LOWER_STRONG, shifted)
