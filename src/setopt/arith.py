@@ -94,9 +94,6 @@ def format_vector(v: Vec) -> list:
     return [format_number(x) for x in v]
 
 
-def as_float(x: Num) -> float:
-    return float(x)
-
 
 def vsub(u: Vec, v: Vec) -> tuple:
     return tuple(a - b for a, b in zip(u, v))

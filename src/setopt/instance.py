@@ -10,14 +10,15 @@ test families.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arith import (Num, as_float, div, dot, format_vector, parse_number,
-                    resolve_tol)
+from .arith import Num, div, dot, format_vector, parse_number, resolve_tol
 from .cone import Cone, validate_cone
 from .errors import (DimMismatch, DuplicateLabel, EmptyImage, ParseError,
                      ValidationError)
@@ -240,12 +241,10 @@ def instance_distance_sq(i1: Instance, i2: Instance) -> Num:
 
 def instance_distance(i1: Instance, i2: Instance) -> float:
     """Sup over decisions of the Hausdorff distance between paired images."""
-    import math
-    return math.sqrt(as_float(instance_distance_sq(i1, i2)))
+    return math.sqrt(float(instance_distance_sq(i1, i2)))
 
 
-def discretize_map(inst: Instance, eps: Num, exact_cap: int = 24,
-                   tol=None) -> Instance:
+def discretize_map(inst: Instance, eps: Num, tol=None) -> Instance:
     """Replace every finite image by its internal eps-cover centers.
 
     The result's images are subsets of the originals and the instance
@@ -257,7 +256,7 @@ def discretize_map(inst: Instance, eps: Num, exact_cap: int = 24,
     for img in inst.images:
         if not img.is_finite:
             raise ValidationError("discretize_map expects finite images")
-        result = cover_by_sq_radius(img.points, eps * eps, exact_cap, tol)
+        result = cover_by_sq_radius(img.points, eps * eps, tol=tol)
         new_images.append(finite_set(result.centers))
     meta = dict(inst.metadata)
     meta["discretization_eps"] = str(eps)
@@ -314,7 +313,7 @@ def make_example(name: str, params: Optional[dict] = None, *,
         "strict_min": _make_strict_min,
         "cantor": _make_cantor,
         "mfdvp": _make_mfdvp,
-        "mfdvp_polytope": _make_mfdvp_polytope,
+        "mfdvp_polytope": functools.partial(_make_mfdvp, image=polytope),
         "random_finite": _make_random_finite,
         "convex_polyhedral": _make_convex_polyhedral,
     }[name]
@@ -398,22 +397,12 @@ _MFDVP_IMAGES = {
 }
 
 
-def _make_mfdvp(params, exact, tol):
+def _make_mfdvp(params, exact, tol, image=finite_set):
     cone = _orthant(exact)
     decisions, images = [], []
     for lab, pts in _MFDVP_IMAGES.items():
         decisions.append(Decision(lab, (_cast(Fraction(int(lab)), exact),)))
-        images.append(finite_set(
-            [_cast_vec((Fraction(a), Fraction(b)), exact) for a, b in pts]))
-    return build_instance(cone, decisions, images, {}, exact, tol)
-
-
-def _make_mfdvp_polytope(params, exact, tol):
-    cone = _orthant(exact)
-    decisions, images = [], []
-    for lab, pts in _MFDVP_IMAGES.items():
-        decisions.append(Decision(lab, (_cast(Fraction(int(lab)), exact),)))
-        images.append(polytope(
+        images.append(image(
             [_cast_vec((Fraction(a), Fraction(b)), exact) for a, b in pts]))
     return build_instance(cone, decisions, images, {}, exact, tol)
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import Num, Vec, div, dot, is_exact, num_finite, resolve_tol
+from .arith import Num, div, dot, is_exact, num_finite, resolve_tol
 from .errors import DimMismatch, IterationCapExceeded, ValidationError
 
 ITERATION_CAP = 10_000
@@ -86,21 +86,6 @@ class LinearProgram:
     @property
     def num_vars(self) -> int:
         return len(self.objective)
-
-
-def make_program(objective: Vec, equalities=None, inequalities=None,
-                 lower_bounds=None) -> LinearProgram:
-    """Convenience constructor from (matrix, rhs) pairs."""
-    eq_lhs, eq_rhs = equalities if equalities else ((), ())
-    ge_lhs, ge_rhs = inequalities if inequalities else ((), ())
-    return LinearProgram(
-        objective=tuple(objective),
-        eq_lhs=tuple(tuple(r) for r in eq_lhs),
-        eq_rhs=tuple(eq_rhs),
-        ge_lhs=tuple(tuple(r) for r in ge_lhs),
-        ge_rhs=tuple(ge_rhs),
-        lower_bounds=None if lower_bounds is None else tuple(lower_bounds),
-    )
 
 
 @dataclass(frozen=True)
@@ -285,14 +270,15 @@ class _Integral:
         return Fraction(x, scale)
 
 
-def _run(tab, obj, basis, width, arith, cap):
+def _run(tab, obj, basis, width, arith):
     """Bland-rule simplex on a tableau whose rhs is the last column."""
     tol = arith.tol
     iterations = 0
     while True:
         iterations += 1
-        if iterations > cap:
-            raise IterationCapExceeded(f"simplex exceeded {cap} iterations")
+        if iterations > ITERATION_CAP:
+            raise IterationCapExceeded(
+                f"simplex exceeded {ITERATION_CAP} iterations")
         enter = None
         for j in range(width):
             if obj[j] < -tol:
@@ -315,7 +301,7 @@ def _run(tab, obj, basis, width, arith, cap):
         basis[leave] = enter
 
 
-def _phase_one(std: _Standard, arith, cap):
+def _phase_one(std: _Standard, arith):
     """Returns (tab, basis, infeasibility) with artificials eliminated."""
     m = len(std.rows)
     n = std.ncols
@@ -331,7 +317,7 @@ def _phase_one(std: _Standard, arith, cap):
     for row in tab:
         for j in range(n + m + 1):
             obj[j] -= row[j]
-    _run(tab, obj, basis, n + m, arith, cap)
+    _run(tab, obj, basis, n + m, arith)
     infeasibility = arith.value(-obj[-1], arith.d * std.scale)
     if infeasibility > arith.tol:
         return None, None, infeasibility
@@ -369,20 +355,20 @@ def _arith(prog: LinearProgram, tol):
     return _Dense(tol)
 
 
-def lp_feasible(prog: LinearProgram, tol=None, cap=ITERATION_CAP) -> Feasibility:
+def lp_feasible(prog: LinearProgram, tol=None) -> Feasibility:
     """Phase-one feasibility check; returns a witness point when feasible."""
     arith = _arith(prog, tol)
     std = _Standard(prog, arith)
-    tab, basis, infeas = _phase_one(std, arith, cap)
+    tab, basis, infeas = _phase_one(std, arith)
     if tab is None:
         return Feasibility(False, None, infeas)
     return Feasibility(True, _extract(std, tab, basis, arith), infeas)
 
 
-def lp_maximize(prog: LinearProgram, tol=None, cap=ITERATION_CAP) -> Outcome:
+def lp_maximize(prog: LinearProgram, tol=None) -> Outcome:
     arith = _arith(prog, tol)
     std = _Standard(prog, arith)
-    tab, basis, _ = _phase_one(std, arith, cap)
+    tab, basis, _ = _phase_one(std, arith)
     if tab is None:
         return Outcome(INFEASIBLE)
     c = std.c
@@ -392,7 +378,7 @@ def lp_maximize(prog: LinearProgram, tol=None, cap=ITERATION_CAP) -> Outcome:
         if cb != 0:
             for j in range(std.ncols + 1):
                 obj[j] += cb * row[j]
-    status = _run(tab, obj, basis, std.ncols, arith, cap)
+    status = _run(tab, obj, basis, std.ncols, arith)
     if status == UNBOUNDED:
         return Outcome(UNBOUNDED)
     value = arith.value(obj[-1], arith.d * std.c_scale) + std.const

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .arith import as_float
 from .errors import ValidationError
 from .imagesets import min_elements, minimal_vertices
 from .instance import Instance
@@ -30,8 +29,8 @@ def render_svg(inst: Instance, members: Optional[set] = None) -> str:
     if inst.m != 2:
         raise ValidationError("SVG plotting supports two-dimensional images only")
     members = members or set()
-    xs = [as_float(p[0]) for img in inst.images for p in img.points]
-    ys = [as_float(p[1]) for img in inst.images for p in img.points]
+    xs = [float(p[0]) for img in inst.images for p in img.points]
+    ys = [float(p[1]) for img in inst.images for p in img.points]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     span_x = (hi_x - lo_x) or 1.0
@@ -55,19 +54,19 @@ def render_svg(inst: Instance, members: Optional[set] = None) -> str:
             highlights = set(min_elements(img, inst.cone))
         else:
             highlights = set(minimal_vertices(img, inst.cone))
-            cx = sum(as_float(p[0]) for p in img.points) / len(img.points)
-            cy = sum(as_float(p[1]) for p in img.points) / len(img.points)
+            cx = sum(float(p[0]) for p in img.points) / len(img.points)
+            cy = sum(float(p[1]) for p in img.points) / len(img.points)
             ordered = sorted(img.points, key=lambda p: math.atan2(
-                as_float(p[1]) - cy, as_float(p[0]) - cx))
-            path = " ".join(f"{_fmt(sx(as_float(p[0])))},{_fmt(sy(as_float(p[1])))}"
+                float(p[1]) - cy, float(p[0]) - cx))
+            path = " ".join(f"{_fmt(sx(float(p[0])))},{_fmt(sy(float(p[1])))}"
                             for p in ordered)
             parts.append(f'<polygon points="{path}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
         for p in img.points:
             heavy = p in highlights
             parts.append(
-                f'<circle cx="{_fmt(sx(as_float(p[0])))}" '
-                f'cy="{_fmt(sy(as_float(p[1])))}" r="{5 if heavy else 3.5}" '
+                f'<circle cx="{_fmt(sx(float(p[0])))}" '
+                f'cy="{_fmt(sy(float(p[1])))}" r="{5 if heavy else 3.5}" '
                 f'fill="{color}" stroke="{"black" if heavy else color}" '
                 f'stroke-width="{1.8 if heavy else 1}"/>')
         y_leg = 18 + 16 * idx
@@ -90,7 +89,7 @@ def render_csv(inst: Instance, members: Optional[set] = None) -> str:
              ",".join(f"y{d}" for d in range(inst.m))]
     for dec, img in zip(inst.decisions, inst.images):
         for i, p in enumerate(img.points):
-            coords = ",".join(repr(as_float(v)) for v in p)
+            coords = ",".join(repr(float(v)) for v in p)
             lines.append(f"{dec.label},{int(dec.label in members)},"
                          f"{img.kind},{i},{coords}")
     return "\n".join(lines) + "\n"

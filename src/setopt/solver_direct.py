@@ -1,16 +1,17 @@
 """Exact set-approach solver over the finite decision list.
 
-Membership in the weakly minimal, type-one minimal, and type-two
-minimal solution sets (and their eps-shifted variants) is decided from
-the pairwise set-margin matrix: with S[i][k] the largest shift with
-``F(x_i)`` lower-set-less ``F(x_k)``,
+A decision x_k is weakly, type-one or type-two minimal (at shift eps)
+iff no x_i excludes it.  With S[i][k] the largest shift with
+``F(x_i)`` lower-set-less ``F(x_k)``, x_i excludes x_k when
 
-* weak:     x_k is a member  iff  max_i S[i][k] <= eps,
-* type-one: no i with S[i][k] >= eps and S[k][i] < -eps,
-* type-two: no i whose strong relation holds at shift eps.
+* weak:     S[i][k] > eps (the strict relation holds),
+* type-one: S[i][k] >= eps and S[k][i] < -eps,
+* type-two: the strong relation holds at shift eps.
 
-Quantifiers run over the whole decision list including the candidate
-itself, exactly as the solution concepts are defined.
+One scan per candidate meets the first such x_i in index order and
+certifies the relation that excludes.  Quantifiers run over the whole
+decision list including the candidate itself, exactly as the solution
+concepts are defined.
 """
 
 from __future__ import annotations
@@ -85,50 +86,30 @@ def solve_direct(inst: Instance, concept: str, eps: Num = 0,
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
     tol = inst.resolve_tol(tol, eps)
-    labels = inst.labels
+    labels, images, cone = inst.labels, inst.images, inst.cone
     k = len(labels)
-    members = []
-    certificates = {}
-    thresholds = None
-
+    members, certificates = [], {}
     mat = inst.set_margins(tol) if concept != TYPE_TWO else None
-    if concept == WEAK:
-        thresholds = weak_threshold(inst, tol)
-        for j in range(k):
-            if not gt(thresholds[labels[j]], eps, tol):
-                members.append(labels[j])
-                continue
-            dominator = next(i for i in range(k) if gt(mat[i][j], eps, tol))
-            _, cert = set_relation(inst.images[dominator], inst.images[j],
-                                   inst.cone, LOWER_STRICT, eps, tol)
-            certificates[labels[j]] = ExclusionCertificate(
-                labels[dominator], cert)
-    elif concept == TYPE_TWO:
-        for j in range(k):
-            excluded = None
-            for i in range(k):
-                holds, cert = set_relation(inst.images[i], inst.images[j],
-                                           inst.cone, LOWER_STRONG, eps, tol)
-                if holds:
-                    excluded = ExclusionCertificate(labels[i], cert)
-                    break
-            if excluded is None:
-                members.append(labels[j])
+    for j in range(k):
+        for i in range(k):
+            if concept == WEAK:
+                holds = gt(mat[i][j], eps, tol)
+            elif concept == TYPE_ONE:
+                holds = ge(mat[i][j], eps, tol) and mat[j][i] < -eps - tol
             else:
-                certificates[labels[j]] = excluded
-    else:  # TYPE_ONE
-        for j in range(k):
-            violator = None
-            for i in range(k):
-                if ge(mat[i][j], eps, tol) and mat[j][i] < -eps - tol:
-                    violator = i
-                    break
-            if violator is None:
-                members.append(labels[j])
-            else:
-                _, cert = set_relation(inst.images[violator], inst.images[j],
-                                       inst.cone, LOWER, eps, tol)
-                certificates[labels[j]] = ExclusionCertificate(
-                    labels[violator], cert, reverse_margin=mat[j][violator])
+                holds, cert = set_relation(images[i], images[j], cone,
+                                           LOWER_STRONG, eps, tol)
+            if holds:
+                break
+        else:
+            members.append(labels[j])
+            continue
+        if concept != TYPE_TWO:
+            _, cert = set_relation(images[i], images[j], cone,
+                                   LOWER_STRICT if concept == WEAK else LOWER,
+                                   eps, tol)
+        certificates[labels[j]] = ExclusionCertificate(
+            labels[i], cert, mat[j][i] if concept == TYPE_ONE else None)
+    thresholds = weak_threshold(inst, tol) if concept == WEAK else None
     return SolutionReport(concept, eps, tuple(members), certificates,
                           thresholds)

@@ -165,14 +165,13 @@ def candidate_pool(inst: Instance, label: str, p: Optional[int] = None,
 # Minimum hitting set (exact branch and bound)
 # ---------------------------------------------------------------------------
 
-def min_hitting_set(sets, limit: Optional[int] = None,
-                    cap: int = HITTING_CAP):
+def min_hitting_set(sets, limit: Optional[int] = None):
     """Minimum-cardinality hitting set of a family of nonempty sets.
 
     With ``limit`` given, returns some hitting set of size <= limit or
     ``None`` when the minimum exceeds it.  Greedy warm start, branching
     on the smallest unhit set, lower bound from disjoint-set packing;
-    ``CapExceeded`` once the search has visited ``cap`` nodes.
+    ``CapExceeded`` once the search has visited ``HITTING_CAP`` nodes.
     """
     sets = [frozenset(s) for s in sets]
     if any(not s for s in sets):
@@ -215,8 +214,9 @@ def min_hitting_set(sets, limit: Optional[int] = None,
     def search(rem, partial):
         nonlocal best, best_len, nodes
         nodes += 1
-        if nodes > cap:
-            raise CapExceeded(f"hitting-set search exceeds cap of {cap} nodes")
+        if nodes > HITTING_CAP:
+            raise CapExceeded(
+                f"hitting-set search exceeds cap of {HITTING_CAP} nodes")
         if not rem:
             if len(partial) < best_len:
                 best, best_len = sorted(partial), len(partial)
@@ -277,7 +277,7 @@ def _table(inst, kind, pool, eps, tol):
     return dom, None if weak else extra
 
 
-def _search(table, size, limit, hitting_cap, subset_cap):
+def _search(table, size, limit):
     """Increasing pool indices of a smallest index set that no competitor
     dominates, with at most ``limit`` members (None: any number), or
     None.  Weak kind: the set must hit every complement of ``dom[j]``,
@@ -285,14 +285,14 @@ def _search(table, size, limit, hitting_cap, subset_cap):
     dom, extra = table
     if extra is not None:
         kmax = size if limit is None else min(limit, size)
-        return _first_survivor(size, kmax, dom, extra, subset_cap)
+        return _first_survivor(size, kmax, dom, extra)
     if (1 << size) - 1 in dom:
         return None
     return min_hitting_set([[i for i in range(size) if not d >> i & 1]
-                            for d in dom], limit=limit, cap=hitting_cap)
+                            for d in dom], limit=limit)
 
 
-def _first_survivor(pool_size, kmax, weakdom, extra, cap=SUBSET_CAP):
+def _first_survivor(pool_size, kmax, weakdom, extra):
     """Smallest, then lexicographically first, subset of at most kmax
     pool indices that no competitor dominates; None if there is none.
 
@@ -301,14 +301,14 @@ def _first_survivor(pool_size, kmax, weakdom, extra, cap=SUBSET_CAP):
     indices in increasing order, the order of ``itertools.combinations``.
     A prefix that j dominates needs a later index outside ``weakdom[j]``;
     it is pruned when pairwise disjoint needs outnumber the slots left.
-    ``CapExceeded`` once ``cap`` subsets have been visited."""
+    ``CapExceeded`` once ``SUBSET_CAP`` subsets have been visited."""
     visited, full = 0, (1 << pool_size) - 1
 
     def search(start, left, chosen, alive):
         # alive: the competitors whose weakdom holds every chosen index
         nonlocal visited
         visited += 1
-        if visited > cap:
+        if visited > SUBSET_CAP:
             raise CapExceeded(f"min-kind search exceeds cap: {visited} subsets")
         later = full >> start << start
         used = packed = 0
@@ -382,8 +382,7 @@ def _excluded(inst, idx, pool, p, eps, tol, table):
 
 
 def membership_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
-                  tol=None, hitting_cap: int = HITTING_CAP,
-                  subset_cap: int = SUBSET_CAP) -> VpReport:
+                  tol=None) -> VpReport:
     """Per-decision membership in the projected budget-p solution set."""
     if kind not in VP_KINDS:
         raise ValidationError(f"unknown vectorization kind {kind!r}")
@@ -401,7 +400,7 @@ def membership_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
             incomplete.append(dec.label)
         pool = pr.points
         table = _table(inst, kind, pool, eps, tol)
-        chosen = _search(table, len(pool), p, hitting_cap, subset_cap)
+        chosen = _search(table, len(pool), p)
         if chosen is None:
             cert = _excluded(inst, idx, pool, p, eps, tol, table)
         else:
@@ -413,8 +412,7 @@ def membership_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
 
 
 def minimal_p(inst: Instance, label: str, eps: Num = 0, kind: str = VP_WEAK,
-              tol=None, hitting_cap: int = HITTING_CAP,
-              subset_cap: int = SUBSET_CAP) -> MinimalPResult:
+              tol=None) -> MinimalPResult:
     """Smallest budget at which the decision joins the projected
     solution set, or Never when no budget works."""
     if kind not in VP_KINDS:
@@ -426,7 +424,7 @@ def minimal_p(inst: Instance, label: str, eps: Num = 0, kind: str = VP_WEAK,
     pool = inst.pool(idx, tol)
     incomplete = not inst.images[idx].is_finite
     table = _table(inst, kind, pool, eps, tol)
-    chosen = _search(table, len(pool), None, hitting_cap, subset_cap)
+    chosen = _search(table, len(pool), None)
     if chosen is None:
         # a weak-kind competitor strictly dominating the whole pool
         # defeats every tuple; vertex pools cannot certify a min-kind
@@ -529,7 +527,7 @@ def solve_weighted_sum(inst: Instance, p: int, weights, tol=None):
 # ---------------------------------------------------------------------------
 
 def brute_force_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
-                   tol=None, cap: int = TUPLE_CAP) -> VpReport:
+                   tol=None) -> VpReport:
     """Reference semantics for ``membership_vp`` on finite images.
 
     Candidate tuples are enumerated over the full image (no pool), and
@@ -554,8 +552,8 @@ def brute_force_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
         raise ValidationError("the brute-force oracle needs finite images")
     tol = inst.resolve_tol(tol, eps)
     total = sum(len(img.points) ** p for img in inst.images)
-    if total > cap:
-        raise CapExceeded(f"{total} candidate tuples exceed cap {cap}")
+    if total > TUPLE_CAP:
+        raise CapExceeded(f"{total} candidate tuples exceed cap {TUPLE_CAP}")
 
     cone = inst.cone
     images = [img.points for img in inst.images]

@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import setopt.lp
 from setopt.errors import DimMismatch, ValidationError
-from setopt.lp import (LinearProgram, check_point, lp_feasible, lp_maximize,
-                       make_program)
+from setopt.lp import LinearProgram, check_point, lp_feasible, lp_maximize
 
 
 def test_simplex_vertex_feasibility():
@@ -148,11 +148,13 @@ def _solve_support(rows, rhs, cols, nv):
 
 
 def _float_program(prog):
-    return make_program([float(v) for v in prog.objective],
-                        equalities=([[float(v) for v in row]
-                                     for row in prog.eq_lhs],
-                                    [float(v) for v in prog.eq_rhs]),
-                        lower_bounds=[float(v) for v in prog.lower_bounds])
+    def floats(values):
+        return tuple(map(float, values))
+
+    return LinearProgram(floats(prog.objective),
+                         eq_lhs=tuple(map(floats, prog.eq_lhs)),
+                         eq_rhs=floats(prog.eq_rhs),
+                         lower_bounds=floats(prog.lower_bounds))
 
 
 def test_against_basic_solution_enumeration():
@@ -196,16 +198,18 @@ def test_determinism():
 
 
 def test_float_mode_tolerance():
-    prog = make_program([1.0, 0.0], equalities=([[1.0, 1.0]], [1.0]),
-                        lower_bounds=[0.0, 0.0])
+    prog = LinearProgram(objective=(1.0, 0.0), eq_lhs=((1.0, 1.0),),
+                         eq_rhs=(1.0,), lower_bounds=(0.0, 0.0))
     out = lp_maximize(prog)
     assert out.is_optimal and abs(out.value - 1.0) < 1e-9
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_raises(monkeypatch):
     from setopt.errors import IterationCapExceeded
     prog = LinearProgram(objective=(F(1), F(0)),
                          eq_lhs=((F(1), F(1)),), eq_rhs=(F(1),),
                          lower_bounds=(F(0), F(0)))
-    with pytest.raises(IterationCapExceeded):
-        lp_maximize(prog, tol=0, cap=0)
+    monkeypatch.setattr(setopt.lp, "ITERATION_CAP", 0)
+    with pytest.raises(IterationCapExceeded,
+                       match="^simplex exceeded 0 iterations$"):
+        lp_maximize(prog, tol=0)

@@ -284,9 +284,10 @@ def test_min_members_retain_image_quality():
                        for r in retained)
 
 
-def test_brute_force_caps_and_preconditions(mfdvp):
-    with pytest.raises(CapExceeded):
-        brute_force_vp(mfdvp, 3, 0, VP_WEAK, cap=5)
+def test_brute_force_caps_and_preconditions(mfdvp, monkeypatch):
+    monkeypatch.setattr(vectorizer, "TUPLE_CAP", 5)
+    with pytest.raises(CapExceeded, match="^24 candidate tuples exceed cap 5$"):
+        brute_force_vp(mfdvp, 3, 0, VP_WEAK)
     poly = make_example("t_one", {"g": 3}, exact=True)
     with pytest.raises(ValidationError):
         brute_force_vp(poly, 1, 0, VP_WEAK)
@@ -514,7 +515,7 @@ def _cover_front(n_front, h, seed):
                           decisions, images, exact=True)
 
 
-def test_large_cover_front_budgets_finish():
+def test_large_cover_front_budgets_finish(monkeypatch):
     # the cap checks below run on the last front, of 28 points
     for (n_front, h), seed in itertools.product(((100, 10), (28, 5)),
                                                 (0, 1, 2)):
@@ -522,12 +523,18 @@ def test_large_cover_front_budgets_finish():
         for kind in (VP_WEAK, VP_MIN):
             # the pruned search visits a few hundred subsets here, where
             # enumeration by size meets about 10^5 before the survivor
-            res = minimal_p(inst, "0", 0, kind, subset_cap=2000)
+            with monkeypatch.context() as m:
+                m.setattr(vectorizer, "SUBSET_CAP", 2000)
+                res = minimal_p(inst, "0", 0, kind)
             assert not res.never and res.p_star == h
             assert res.witness.member
             assert "0" not in membership_vp(inst, h - 1, 0, kind).members
         assert "0" not in membership_vp(inst, 2, 0, VP_WEAK).members
-    with pytest.raises(CapExceeded, match="cap: 21 subsets"):
-        minimal_p(inst, "0", 0, VP_MIN, subset_cap=20)
-    with pytest.raises(CapExceeded, match="nodes"):
-        minimal_p(inst, "0", 0, VP_WEAK, hitting_cap=0)
+    monkeypatch.setattr(vectorizer, "SUBSET_CAP", 20)
+    with pytest.raises(CapExceeded,
+                       match="^min-kind search exceeds cap: 21 subsets$"):
+        minimal_p(inst, "0", 0, VP_MIN)
+    monkeypatch.setattr(vectorizer, "HITTING_CAP", 0)
+    with pytest.raises(CapExceeded,
+                       match="^hitting-set search exceeds cap of 0 nodes$"):
+        minimal_p(inst, "0", 0, VP_WEAK)

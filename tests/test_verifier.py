@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+import setopt.imagesets
+import setopt.setrelations
 import setopt.vectorizer
 from setopt.verifier import (ConvexExperimentConfig, SuiteConfig,
                              convex_experiment, run_suite)
@@ -39,6 +41,23 @@ def test_suite_reports_injected_fault(monkeypatch):
     assert failing
     assert failing[0].counterexample is not None
     assert "fast" in failing[0].counterexample
+
+
+def test_suite_reports_injected_vertex_reduction_fault(monkeypatch):
+    # a set margin taken as the max over B's points, not the min, exceeds
+    # the point margin at B's centroid whenever B's vertex margins differ
+    def corrupted(a, b, cone, tol=None):
+        return max(setopt.imagesets.point_margin(pt, a, cone, tol)
+                   for pt in b.points)
+
+    monkeypatch.setattr(setopt.setrelations, "set_margin", corrupted)
+    report = run_suite(SuiteConfig(seeds=(11,), polytope_seeds=(3, 4)))
+    failing = {c.instance_id: c.counterexample for c in report.hard_failures
+               if c.name == "relations_right_encoding_agreement"}
+    assert sorted(failing) == sorted([
+        "mfdvp_polytope", "t_one[g=5]", "convex_polyhedral[seed=3]",
+        "convex_polyhedral[seed=4]"])
+    assert all(len(ce["pair"]) == 2 for ce in failing.values())
 
 
 def test_empty_eps_grid_runs_zero_shift_checks_only():
