@@ -6,6 +6,13 @@ carries a replayable counterexample payload (instance id, parameters,
 offending labels).  Checks on finite instances are hard (the theory is
 exact there); the convex experiment's disagreements are soft findings
 because the grid restriction breaks its convexity hypothesis.
+
+Each distinct library question (members of a concept or of a budget, a
+set relation, a set margin, a Hausdorff distance) is asked once per
+instance and suite: the laws on an instance read one shared ``_Facts``
+object, which ``run_suite`` drops when it returns.
+``CheckResult.seconds`` charges a shared fact to the first law that asks
+for it; timings never enter reports.
 """
 
 from __future__ import annotations
@@ -130,8 +137,56 @@ def _run(name, inst_id, law, *args) -> CheckResult:
 
 def _per_instance(laws, instances, *args) -> list:
     """Every ``(name, law)`` on every instance, instance by instance."""
-    return [_run(name, inst_id, law, inst, *args)
-            for inst_id, inst in instances for name, law in laws]
+    return [_run(name, inst_id, law, subject, *args)
+            for inst_id, subject in instances for name, law in laws]
+
+
+class _Facts:
+    """The library's answers about one instance, each asked once.
+
+    Every question is looked up on its library module when first asked,
+    so a replaced library function reaches every law.  Member sets are
+    frozensets, so no law can change an answer another law reads.  A
+    float shift is kept apart from an equal rational one: the two can
+    resolve different tolerances."""
+
+    def __init__(self, inst):
+        self.inst = inst
+        self._answers = {}
+
+    def _once(self, key, ask):
+        if key not in self._answers:
+            self._answers[key] = ask()
+        return self._answers[key]
+
+    def members(self, concept, eps) -> frozenset:
+        return self._once(
+            ("members", concept, eps, isinstance(eps, float)),
+            lambda: frozenset(solver_direct.solve_direct(
+                self.inst, concept, eps).members))
+
+    def vp_members(self, p, eps, kind) -> frozenset:
+        return self._once(
+            ("vp_members", p, eps, isinstance(eps, float), kind),
+            lambda: frozenset(vectorizer.membership_vp(
+                self.inst, p, eps, kind).members))
+
+    def relation(self, i, j, kind, eps) -> bool:
+        a, b = self.inst.images[i], self.inst.images[j]
+        return self._once(
+            ("relation", i, j, kind, eps, isinstance(eps, float)),
+            lambda: setrelations.set_relation(a, b, self.inst.cone, kind,
+                                              eps)[0])
+
+    def set_margin(self, i, j):
+        a, b = self.inst.images[i], self.inst.images[j]
+        return self._once(("set_margin", i, j), lambda: setrelations.set_margin(
+            a, b, self.inst.cone))
+
+    def hausdorff(self, i, j) -> float:
+        a, b = self.inst.images[i], self.inst.images[j]
+        return self._once(("hausdorff", i, j),
+                          lambda: imagesets.hausdorff(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +340,8 @@ CONE_LAWS = (("cone_margin_laws", _cone_margin_laws),
 # Image-set checks
 # ---------------------------------------------------------------------------
 
-def _images_minimality_and_domination(inst):
+def _images_minimality_and_domination(facts):
+    inst = facts.inst
     for dec, img in zip(inst.decisions, inst.images):
         mins = set(imagesets.min_elements(img, inst.cone, weak=False))
         weaks = set(imagesets.min_elements(img, inst.cone, weak=True))
@@ -296,7 +352,8 @@ def _images_minimality_and_domination(inst):
     return None
 
 
-def _images_internal_covering_laws(inst):
+def _images_internal_covering_laws(facts):
+    inst = facts.inst
     eps_list = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)]
     if not inst.exact:
         eps_list = [float(e) for e in eps_list]
@@ -320,13 +377,12 @@ def _images_internal_covering_laws(inst):
     return None
 
 
-def _images_hausdorff_metric(inst):
-    for a, b, c in itertools.islice(itertools.permutations(inst.images, 3), 12):
-        dab = imagesets.hausdorff(a, b)
-        dba = imagesets.hausdorff(b, a)
-        dac = imagesets.hausdorff(a, c)
-        dcb = imagesets.hausdorff(c, b)
-        if abs(dab - dba) > 1e-9 or imagesets.hausdorff(a, a) != 0:
+def _images_hausdorff_metric(facts):
+    d = facts.hausdorff
+    for a, b, c in itertools.islice(
+            itertools.permutations(range(len(facts.inst.images)), 3), 12):
+        dab, dba, dac, dcb = d(a, b), d(b, a), d(a, c), d(c, b)
+        if abs(dab - dba) > 1e-9 or d(a, a) != 0:
             return {"law": "symmetry/identity"}
         if dab > dac + dcb + 1e-9:
             return {"law": "triangle"}
@@ -340,8 +396,8 @@ IMAGE_LAWS = (
 )
 
 
-def _images_prune_idempotent(inst):
-    for dec, img in zip(inst.decisions, inst.images):
+def _images_prune_idempotent(facts):
+    for dec, img in zip(facts.inst.decisions, facts.inst.images):
         once = imagesets.prune_to_extreme(img.points)
         twice = imagesets.prune_to_extreme(once)
         if set(once) != set(twice):
@@ -357,42 +413,33 @@ def _pairs(inst) -> list:
     return list(itertools.product(range(len(inst.images)), repeat=2))[:25]
 
 
-def _relations_implication_chain(inst, config):
-    for i, j in _pairs(inst):
-        a, b = inst.images[i], inst.images[j]
+def _relations_implication_chain(facts, config):
+    for i, j in _pairs(facts.inst):
         for eps in [0] + list(config.eps_grid):
-            strict, _ = setrelations.set_relation(a, b, inst.cone,
-                                                  setrelations.LOWER_STRICT, eps)
-            strong, _ = setrelations.set_relation(a, b, inst.cone,
-                                                  setrelations.LOWER_STRONG, eps)
-            lower, _ = setrelations.set_relation(a, b, inst.cone,
-                                                 setrelations.LOWER, eps)
+            strict = facts.relation(i, j, setrelations.LOWER_STRICT, eps)
+            strong = facts.relation(i, j, setrelations.LOWER_STRONG, eps)
+            lower = facts.relation(i, j, setrelations.LOWER, eps)
             if (strict and not strong) or (strong and not lower):
                 return {"law": "chain", "pair": [i, j],
                         "eps": format_number(eps)}
     return None
 
 
-def _relations_preorder_transitive(inst, config):
+def _relations_preorder_transitive(facts, config):
+    def lower(i, j):
+        return facts.relation(i, j, setrelations.LOWER, 0)
     for i, j, k in itertools.islice(
-            itertools.product(range(len(inst.images)), repeat=3), 64):
-        ij, _ = setrelations.set_relation(inst.images[i], inst.images[j],
-                                          inst.cone, setrelations.LOWER, 0)
-        jk, _ = setrelations.set_relation(inst.images[j], inst.images[k],
-                                          inst.cone, setrelations.LOWER, 0)
-        if ij and jk:
-            ik, _ = setrelations.set_relation(inst.images[i], inst.images[k],
-                                              inst.cone, setrelations.LOWER, 0)
-            if not ik:
-                return {"triple": [i, j, k]}
+            itertools.product(range(len(facts.inst.images)), repeat=3), 64):
+        if lower(i, j) and lower(j, k) and not lower(i, k):
+            return {"triple": [i, j, k]}
     return None
 
 
-def _relations_strict_threshold_law(inst, config):
+def _relations_strict_threshold_law(facts, config):
+    inst = facts.inst
     rng = random.Random(77)
     for i, j in _pairs(inst)[:10]:
-        a, b = inst.images[i], inst.images[j]
-        sm = setrelations.set_margin(a, b, inst.cone)
+        sm = facts.set_margin(i, j)
         probes = []
         for _ in range(18):
             delta = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
@@ -401,8 +448,7 @@ def _relations_strict_threshold_law(inst, config):
         for eps in probes:
             if eps < 0:
                 continue
-            strict, _ = setrelations.set_relation(
-                a, b, inst.cone, setrelations.LOWER_STRICT, eps)
+            strict = facts.relation(i, j, setrelations.LOWER_STRICT, eps)
             expected = gt(sm, eps, 0 if inst.exact else 1e-9)
             if strict != expected:
                 return {"pair": [i, j], "eps": format_number(eps)}
@@ -416,15 +462,16 @@ RELATION_LAWS = (
 )
 
 
-def _relations_right_encoding_agreement(inst):
+def _relations_right_encoding_agreement(facts):
     """The set margin, a minimum over B's vertices, is at most the margin
     at B's centroid, as the point margin against a convex A is concave."""
+    inst = facts.inst
     tol = 0 if inst.exact else 1e-9
     for i, j in itertools.product(range(len(inst.images)), repeat=2):
         a, b = inst.images[i], inst.images[j]
         centroid = tuple(div(sum(c), len(b.points)) for c in zip(*b.points))
         if not ge(imagesets.point_margin(centroid, a, inst.cone),
-                  setrelations.set_margin(a, b, inst.cone), tol):
+                  facts.set_margin(i, j), tol):
             return {"pair": [i, j]}
     return None
 
@@ -433,33 +480,30 @@ def _relations_right_encoding_agreement(inst):
 # Direct-solver checks
 # ---------------------------------------------------------------------------
 
-def _members(inst, concept, eps) -> set:
-    return set(solver_direct.solve_direct(inst, concept, eps).members)
-
-
-def _direct_solution_chain(inst, config):
+def _direct_solution_chain(facts, config):
     for eps in [0] + list(config.eps_grid):
-        t1 = _members(inst, solver_direct.TYPE_ONE, eps)
-        t2 = _members(inst, solver_direct.TYPE_TWO, eps)
-        wk = _members(inst, solver_direct.WEAK, eps)
+        t1 = facts.members(solver_direct.TYPE_ONE, eps)
+        t2 = facts.members(solver_direct.TYPE_TWO, eps)
+        wk = facts.members(solver_direct.WEAK, eps)
         if not (t1 <= t2 <= wk):
             return {"eps": format_number(eps), "type1": sorted(t1),
                     "type2": sorted(t2), "weak": sorted(wk)}
     return None
 
 
-def _direct_eps_monotonicity(inst, config):
+def _direct_eps_monotonicity(facts, config):
     prev_w, prev_t2 = None, None
     for eps in sorted([0] + list(config.eps_grid)):
-        wk = _members(inst, solver_direct.WEAK, eps)
-        t2 = _members(inst, solver_direct.TYPE_TWO, eps)
+        wk = facts.members(solver_direct.WEAK, eps)
+        t2 = facts.members(solver_direct.TYPE_TWO, eps)
         if prev_w is not None and not (prev_w <= wk and prev_t2 <= t2):
             return {"eps": format_number(eps)}
         prev_w, prev_t2 = wk, t2
     return None
 
 
-def _direct_weak_threshold_law(inst, config):
+def _direct_weak_threshold_law(facts, config):
+    inst = facts.inst
     thresholds = solver_direct.weak_threshold(inst)
     rng = random.Random(31)
     tol = 0 if inst.exact else 1e-9
@@ -467,7 +511,7 @@ def _direct_weak_threshold_law(inst, config):
         eps = Fraction(rng.randint(0, 40), rng.randint(1, 8))
         if not inst.exact:
             eps = float(eps)
-        members = _members(inst, solver_direct.WEAK, eps)
+        members = facts.members(solver_direct.WEAK, eps)
         expected = {lab for lab, t in thresholds.items()
                     if not gt(t, eps, tol)}
         if members != expected:
@@ -476,17 +520,18 @@ def _direct_weak_threshold_law(inst, config):
     return None
 
 
-def _direct_intersection_law(inst, config):
+def _direct_intersection_law(facts, config):
+    inst = facts.inst
     positive = [t for t in solver_direct.weak_threshold(inst).values() if t > 0]
     adaptive = list(config.eps_grid)
     if positive:
         adaptive.append(min(positive) / 2)
-    wk0 = _members(inst, solver_direct.WEAK, 0)
-    t20 = _members(inst, solver_direct.TYPE_TWO, 0)
+    wk0 = facts.members(solver_direct.WEAK, 0)
+    t20 = facts.members(solver_direct.TYPE_TWO, 0)
     inter = None
     for eps in adaptive:
-        wke = _members(inst, solver_direct.WEAK, eps)
-        t2e = _members(inst, solver_direct.TYPE_TWO, eps)
+        wke = facts.members(solver_direct.WEAK, eps)
+        t2e = facts.members(solver_direct.TYPE_TWO, eps)
         if not t20 <= t2e:
             return {"law": "type2-in-eps", "eps": format_number(eps)}
         inter = wke if inter is None else (inter & wke)
@@ -513,16 +558,12 @@ def _pmax(inst) -> int:
                for d in inst.decisions)
 
 
-def _vp_members(inst, p, eps, kind) -> set:
-    return set(vectorizer.membership_vp(inst, p, eps, kind).members)
-
-
-def _vp_members_monotone_in_budget(inst, config):
+def _vp_members_monotone_in_budget(facts, config):
     for kind in vectorizer.VP_KINDS:
         for eps in [0] + list(config.eps_grid):
             prev = None
             for p in config.p_range:
-                mem = _vp_members(inst, p, eps, kind)
+                mem = facts.vp_members(p, eps, kind)
                 if prev is not None and not prev <= mem:
                     return {"law": "monotone-p", "kind": kind,
                             "eps": format_number(eps), "p": p}
@@ -530,24 +571,25 @@ def _vp_members_monotone_in_budget(inst, config):
     return None
 
 
-def _vp_projection_inside_direct(inst, config):
+def _vp_projection_inside_direct(facts, config):
     for eps in [0] + list(config.eps_grid):
-        direct_w = _members(inst, solver_direct.WEAK, eps)
-        direct_t2 = _members(inst, solver_direct.TYPE_TWO, eps)
+        direct_w = facts.members(solver_direct.WEAK, eps)
+        direct_t2 = facts.members(solver_direct.TYPE_TWO, eps)
         for p in config.p_range:
-            vw = _vp_members(inst, p, eps, vectorizer.VP_WEAK)
-            vm = _vp_members(inst, p, eps, vectorizer.VP_MIN)
+            vw = facts.vp_members(p, eps, vectorizer.VP_WEAK)
+            vm = facts.vp_members(p, eps, vectorizer.VP_MIN)
             if not (vw <= direct_w and vm <= direct_t2):
                 return {"eps": format_number(eps), "p": p,
                         "law": "projection-subset"}
     return None
 
 
-def _vp_oracle_equivalence(inst, config):
+def _vp_oracle_equivalence(facts, config):
+    inst = facts.inst
     for kind in vectorizer.VP_KINDS:
         for eps in [0] + list(config.eps_grid):
             for p in config.p_range:
-                fast = _vp_members(inst, p, eps, kind)
+                fast = facts.vp_members(p, eps, kind)
                 slow = set(vectorizer.brute_force_vp(inst, p, eps, kind).members)
                 if fast != slow:
                     return {"kind": kind, "p": p, "eps": format_number(eps),
@@ -555,8 +597,9 @@ def _vp_oracle_equivalence(inst, config):
     return None
 
 
-def _vp_minimal_budget_never_consistency(inst, config):
-    direct_w0 = _members(inst, solver_direct.WEAK, 0)
+def _vp_minimal_budget_never_consistency(facts, config):
+    inst = facts.inst
+    direct_w0 = facts.members(solver_direct.WEAK, 0)
     for dec in inst.decisions:
         res = vectorizer.minimal_p(inst, dec.label, 0, vectorizer.VP_WEAK)
         if res.never == (dec.label in direct_w0):
@@ -564,54 +607,58 @@ def _vp_minimal_budget_never_consistency(inst, config):
     return None
 
 
-def _vp_finite_budget_equalities(inst, config):
-    direct_w0 = _members(inst, solver_direct.WEAK, 0)
+def _vp_finite_budget_equalities(facts, config):
+    inst = facts.inst
+    direct_w0 = facts.members(solver_direct.WEAK, 0)
     budgets = {
         "omega-minus-one": max(1, len(inst.decisions) - 1),
         "max-min-count": _pmax(inst),
     }
     for law, p_thm in budgets.items():
-        mem = _vp_members(inst, p_thm, 0, vectorizer.VP_WEAK)
+        mem = facts.vp_members(p_thm, 0, vectorizer.VP_WEAK)
         if mem != direct_w0:
             return {"law": law, "p": p_thm, "members": sorted(mem),
                     "direct": sorted(direct_w0)}
     return None
 
 
-def _vp_min_members_retain_image_quality(inst, config):
-    retained = _vp_members(inst, _pmax(inst), 0, vectorizer.VP_MIN)
-    for dec, img in zip(inst.decisions, inst.images):
-        if not any(ge(setrelations.set_margin(inst.image_of(r), img,
-                                              inst.cone), 0, 0)
+def _vp_min_members_retain_image_quality(facts, config):
+    inst = facts.inst
+    retained = facts.vp_members(_pmax(inst), 0, vectorizer.VP_MIN)
+    for j, dec in enumerate(inst.decisions):
+        if not any(ge(facts.set_margin(inst.index_of(r), j), 0, 0)
                    for r in sorted(retained)):
             return {"label": dec.label, "retained": sorted(retained)}
     return None
 
 
-def _vp_positive_eps_union_laws(inst, config):
-    direct_w0 = _members(inst, solver_direct.WEAK, 0)
+def _vp_positive_eps_union_laws(facts, config):
+    inst = facts.inst
+    direct_w0 = facts.members(solver_direct.WEAK, 0)
     pmax = _pmax(inst)
     for eps in config.eps_grid:
-        uw = _vp_members(inst, pmax, eps, vectorizer.VP_WEAK)
-        um = _vp_members(inst, pmax, eps, vectorizer.VP_MIN)
+        uw = facts.vp_members(pmax, eps, vectorizer.VP_WEAK)
+        um = facts.vp_members(pmax, eps, vectorizer.VP_MIN)
         if not (direct_w0 <= um and um <= uw and uw == um):
             return {"eps": format_number(eps), "weak_union": sorted(uw),
                     "min_union": sorted(um)}
     return None
 
 
-def _vp_covering_budget_sufficient(inst, config):
-    direct_w0 = _members(inst, solver_direct.WEAK, 0)
+def _vp_covering_budget_sufficient(facts, config):
+    inst = facts.inst
+    direct_w0 = facts.members(solver_direct.WEAK, 0)
     for eps in (e for e in config.eps_grid if e > 0):
         for lab in sorted(direct_w0):
             bound = vectorizer.covering_p_bound(inst, lab, eps)
-            if lab not in _vp_members(inst, bound, eps, vectorizer.VP_WEAK):
+            if lab not in facts.vp_members(bound, eps, vectorizer.VP_WEAK):
                 return {"label": lab, "eps": format_number(eps),
                         "bound": bound}
     return None
 
 
-def _vp_weighted_sum_soundness(inst, config):
+def _vp_weighted_sum_soundness(facts, config):
+    inst = facts.inst
     e = inst.cone.e
     weights_cases = [[e], [e, e],
                      [tuple(sum(row[d] for row in inst.cone.rows)
@@ -619,8 +666,8 @@ def _vp_weighted_sum_soundness(inst, config):
     for weights in weights_cases:
         p = len(weights)
         sols = vectorizer.solve_weighted_sum(inst, p, weights)
-        if not {s.label for s in sols} <= _vp_members(inst, p, 0,
-                                                      vectorizer.VP_WEAK):
+        if not {s.label for s in sols} <= facts.vp_members(
+                p, 0, vectorizer.VP_WEAK):
             return {"weights": [format_number(v) for w in weights for v in w]}
     return None
 
@@ -640,10 +687,11 @@ VP_LAWS = (
 )
 
 
-def _vp_polytope_budget_equality(inst):
-    direct_w0 = _members(inst, solver_direct.WEAK, 0)
+def _vp_polytope_budget_equality(facts):
+    inst = facts.inst
+    direct_w0 = facts.members(solver_direct.WEAK, 0)
     p_thm = max(len(img.points) for img in inst.images)
-    mem = _vp_members(inst, p_thm, 0, vectorizer.VP_WEAK)
+    mem = facts.vp_members(p_thm, 0, vectorizer.VP_WEAK)
     if mem != direct_w0:
         return {"p": p_thm, "members": sorted(mem), "direct": sorted(direct_w0)}
     return None
@@ -673,7 +721,8 @@ def _generators_reproducible(exact):
     return None
 
 
-def _discretization_laws(inst):
+def _discretization_laws(facts):
+    inst = facts.inst
     for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(3, 2)):
         if not inst.exact:
             eps = float(eps)
@@ -684,9 +733,9 @@ def _discretization_laws(inst):
         if instance_mod.instance_distance_sq(inst, disc) > eps * eps:
             return {"law": "distance-bound", "eps": format_number(eps)}
         p_disc = max(len(img.points) for img in disc.images)
-        wk = _members(disc, solver_direct.WEAK, 0)
-        vp = _vp_members(disc, p_disc, 0, vectorizer.VP_WEAK)
-        if wk != vp:
+        disc_facts = _Facts(disc)
+        if disc_facts.members(solver_direct.WEAK, 0) != \
+                disc_facts.vp_members(p_disc, 0, vectorizer.VP_WEAK):
             return {"law": "discretized-budget-equality",
                     "eps": format_number(eps)}
     return None
@@ -698,16 +747,17 @@ def _discretization_laws(inst):
 
 def _golden_three_decision_family(exact):
     inst = instance_mod.make_example("mfdvp", exact=exact)
+    facts = _Facts(inst)
     if solver_direct.solve_direct(inst, solver_direct.TYPE_TWO, 0).members \
             != ("0", "1", "2"):
         return {"law": "type2-members"}
-    if "0" in _vp_members(inst, 1, 0, vectorizer.VP_WEAK):
+    if "0" in facts.vp_members(1, 0, vectorizer.VP_WEAK):
         return {"law": "weak-excluded-at-p1"}
-    if "0" not in _vp_members(inst, 2, 0, vectorizer.VP_WEAK):
+    if "0" not in facts.vp_members(2, 0, vectorizer.VP_WEAK):
         return {"law": "weak-member-at-p2"}
     if vectorizer.minimal_p(inst, "0", 0, vectorizer.VP_WEAK).p_star != 2:
         return {"law": "weak-minimal-p"}
-    if any("0" in _vp_members(inst, p, 0, vectorizer.VP_MIN)
+    if any("0" in facts.vp_members(p, 0, vectorizer.VP_MIN)
            for p in range(1, 7)):
         return {"law": "min-never"}
     return None
@@ -718,7 +768,7 @@ def _golden_polytope_fan(exact):
     if solver_direct.solve_direct(fan, solver_direct.TYPE_ONE, 0).members \
             != ("1/4",):
         return {"law": "type1-members"}
-    if _members(fan, solver_direct.TYPE_TWO, 0) != set(fan.labels):
+    if _Facts(fan).members(solver_direct.TYPE_TWO, 0) != set(fan.labels):
         return {"law": "type2-members"}
     report_min = vectorizer.membership_vp(fan, 1, 0, vectorizer.VP_MIN)
     if "1/2" not in report_min.members or \
@@ -732,9 +782,9 @@ def _golden_drifting_singletons(exact, eps_grid):
     if solver_direct.solve_direct(singles, solver_direct.TYPE_TWO,
                                   0).members != ("0",):
         return {"law": "type2-members"}
+    facts = _Facts(singles)
     for eps in eps_grid:
-        if _vp_members(singles, 1, eps, vectorizer.VP_MIN) != \
-                set(singles.labels):
+        if facts.vp_members(1, eps, vectorizer.VP_MIN) != set(singles.labels):
             return {"law": "min-members", "eps": format_number(eps)}
     return None
 
@@ -756,8 +806,10 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     deterministic given the config."""
     config = config or SuiteConfig()
     ex = config.exact
-    finites = _labeled_instances(config)
-    polytopes = _polytope_instances(config)
+    finites = [(inst_id, _Facts(inst))
+               for inst_id, inst in _labeled_instances(config)]
+    polytopes = [(inst_id, _Facts(inst))
+                 for inst_id, inst in _polytope_instances(config)]
     report = SuiteReport()
     checks = report.checks
     checks.extend(_run("lp_simplex_vs_basic_enumeration", f"seed={seed}",
@@ -817,8 +869,10 @@ def convex_experiment(config: Optional[ConvexExperimentConfig] = None) -> SuiteR
                 counterexample={"error": str(exc)},
                 seconds=time.perf_counter() - started))
             continue
-        wargmin = _members(inst, solver_direct.WEAK, 0)
-        vp = _vp_members(inst, config.n + 1, 0, vectorizer.VP_WEAK)
+        wargmin = set(solver_direct.solve_direct(
+            inst, solver_direct.WEAK, 0).members)
+        vp = set(vectorizer.membership_vp(
+            inst, config.n + 1, 0, vectorizer.VP_WEAK).members)
         report.checks.append(CheckResult(
             "convex_soundness", inst_id, vp <= wargmin,
             counterexample=None if vp <= wargmin

@@ -182,6 +182,14 @@ def test_verify_verb_small(tmp_path, capsys):
         "3a4b2a418ffe7615ceb501fbc82e75283d3d4020e28f55ec35c70252a6bce35d")
 
 
+def test_verify_verb_default_report_pinned(tmp_path, capsys):
+    out_path = tmp_path / "verify.json"
+    assert run(["verify", "-o", str(out_path)]) == 0
+    assert "236 checks, 0 hard failures" in capsys.readouterr().out
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "d38d49dfeab1efb590f14e1f10fde4855f8e219c2944cf25f7806b65935fc839")
+
+
 def test_convex_exp_verb(tmp_path, capsys):
     rc = run(["convex-exp", "--count", "2", "--g", "7"])
     assert rc == 0

@@ -1,7 +1,13 @@
+import collections
+import gc
+import sys
+import weakref
 from fractions import Fraction as F
 
 import setopt.imagesets
+import setopt.instance
 import setopt.setrelations
+import setopt.solver_direct
 import setopt.vectorizer
 from setopt.verifier import (ConvexExperimentConfig, SuiteConfig,
                              convex_experiment, run_suite)
@@ -121,3 +127,108 @@ def test_suite_passes_in_float_mode():
     config = SuiteConfig(seeds=(11,), polytope_seeds=(3,), exact=False)
     report = run_suite(config)
     assert report.hard_failures == []
+
+
+def _small_config():
+    return SuiteConfig(seeds=(11,), polytope_seeds=(3,))
+
+
+def test_suite_asks_each_question_once(monkeypatch):
+    # calls from the verifier's own frames, keyed by the instance (or the
+    # image pair) and the arguments; the library's internal calls, such as
+    # the certificates solve_direct builds, are not counted
+    asked = collections.Counter()
+    alive = []   # every keyed object stays alive, so its id stays unique
+
+    def counted(module, name, key):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "setopt.verifier":
+                alive.append(args)
+                asked[(name,) + key(*args)] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(setopt.solver_direct, "solve_direct",
+            lambda inst, concept, eps=0: (id(inst), concept, eps))
+    counted(setopt.vectorizer, "membership_vp",
+            lambda inst, p, eps=0, kind="weak": (id(inst), p, eps, kind))
+    counted(setopt.imagesets, "hausdorff", lambda a, b: (id(a), id(b)))
+    counted(setopt.setrelations, "set_margin",
+            lambda a, b, cone: (id(a), id(b), id(cone)))
+    counted(setopt.setrelations, "set_relation",
+            lambda a, b, cone, kind, eps=0: (id(a), id(b), id(cone), kind, eps))
+    report = run_suite(_small_config())
+    assert report.hard_failures == []
+    assert {key[0] for key in asked} == {
+        "solve_direct", "membership_vp", "hausdorff", "set_margin",
+        "set_relation"}
+    assert [key for key, n in asked.items() if n > 1] == []
+
+
+def test_suite_keeps_no_instance_alive(monkeypatch):
+    refs = []
+    real = setopt.instance.make_example
+
+    def recording(*args, **kwargs):
+        inst = real(*args, **kwargs)
+        refs.append(weakref.ref(inst))
+        return inst
+
+    monkeypatch.setattr(setopt.instance, "make_example", recording)
+    run_suite(_small_config())
+    gc.collect()
+    assert refs
+    assert [r for r in refs if r() is not None] == []
+
+
+# failing (law, instance) pairs under the two faults below, recorded
+# before the laws shared their per-instance answers
+_FAULT_PAIRS = sorted([
+    ("direct_solution_chain", "cantor[T=4,N=6]"),
+    ("direct_solution_chain", "convex_polyhedral[seed=3]"),
+    ("direct_solution_chain", "mfdvp"),
+    ("direct_solution_chain", "mfdvp_polytope"),
+    ("direct_solution_chain", "random_finite[seed=11]"),
+    ("direct_solution_chain", "strict_min"),
+    ("golden_drifting_singletons", "strict_min[g=5]"),
+    ("golden_polytope_fan", "t_one[g=5]"),
+    ("golden_three_decision_family", "mfdvp"),
+    ("vp_members_monotone_in_budget", "cantor[T=4,N=6]"),
+    ("vp_members_monotone_in_budget", "mfdvp"),
+    ("vp_members_monotone_in_budget", "random_finite[seed=11]"),
+    ("vp_members_monotone_in_budget", "strict_min"),
+    ("vp_min_members_retain_image_quality", "mfdvp"),
+    ("vp_oracle_equivalence", "cantor[T=4,N=6]"),
+    ("vp_oracle_equivalence", "mfdvp"),
+    ("vp_oracle_equivalence", "random_finite[seed=11]"),
+    ("vp_oracle_equivalence", "strict_min"),
+    ("vp_positive_eps_union_laws", "mfdvp"),
+    ("vp_projection_inside_direct", "mfdvp"),
+    ("vp_projection_inside_direct", "random_finite[seed=11]"),
+    ("vp_projection_inside_direct", "strict_min"),
+])
+
+
+def test_shared_answers_leave_no_law_blind(monkeypatch):
+    real_direct = setopt.solver_direct.solve_direct
+    real_vp = setopt.vectorizer.membership_vp
+
+    def direct_fault(inst, concept, eps=0, tol=None):
+        report = real_direct(inst, concept, eps, tol)
+        if concept == "type2" and eps == 0 and report.members:
+            report.members = report.members[:-1]
+        return report
+
+    def vp_fault(inst, p, eps=0, kind="weak", tol=None):
+        report = real_vp(inst, p, eps, kind, tol)
+        if kind == "min" and p == 2 and report.members:
+            report.members = report.members[1:]
+        return report
+
+    monkeypatch.setattr(setopt.solver_direct, "solve_direct", direct_fault)
+    monkeypatch.setattr(setopt.vectorizer, "membership_vp", vp_fault)
+    report = run_suite(_small_config())
+    assert sorted((c.name, c.instance_id) for c in report.checks
+                  if not c.passed) == _FAULT_PAIRS
