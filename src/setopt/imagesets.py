@@ -6,11 +6,15 @@ that dominate a shifted point, Hausdorff distance, internal covering
 numbers, extreme-point pruning, and the domination (external
 stability) check.
 
-An image keeps, for the last cone asked, the cone products ``a_j.v`` of
-a polytope's vertices, or the cone coordinates ``a_j.y / a_j.e`` of a
-rational finite image's points as ints over one denominator, so that
-exact finite margins and dominance scans are integer arithmetic (floats
-keep ``cone.margin``).  Extreme-point pruning sweeps the hull (Andrew's
+An image keeps, for the last cone asked, the data its questions share.
+A polytope keeps its two linear programs, the point margin and the
+strong slack, built on the cone products ``a_j.v`` of its vertices and
+prepared once (``lp``); a target changes only their right-hand side
+``-A.t``, formed over ints for rational data.  A rational finite image
+keeps the cone coordinates ``a_j.y / a_j.e`` of its points as ints over
+one denominator, so that exact finite margins and dominance scans are
+integer arithmetic (floats keep ``cone.margin``).  The kept data lives
+and dies with the image.  Extreme-point pruning sweeps the hull (Andrew's
 monotone chain) for exact planar vertex lists and solves one linear
 program per vertex otherwise.
 """
@@ -139,16 +143,8 @@ def point_margin_with_multipliers(b: Vec, image: ImageSet, cone: Cone,
         return _finite_margin(b, image, cone)[0], None
     if len(b) != cone.m:
         raise DimMismatch("point dimension differs from cone dimension")
-    k = len(image.points)
-    # max eps  s.t.  sum(lam) = 1,  A(b - eps*e - V lam) >= 0,  lam >= 0
-    prog = LinearProgram(
-        objective=tuple([1] + [0] * k),
-        eq_lhs=(tuple([0] + [1] * k),),
-        eq_rhs=(1,),
-        ge_lhs=_cone_products(image, cone)[0],
-        ge_rhs=tuple(-dot(row, b) for row in cone.rows),
-        lower_bounds=tuple([None] + [0] * k),
-    )
+    prog, _, rows, ints = _cone_products(image, cone)
+    prog = prog._with_ge_rhs(_neg_dots(rows, ints, b)[:-1])
     out = lp_maximize(prog, tol=tol)
     if not out.is_optimal:
         return float("-inf"), None
@@ -177,20 +173,12 @@ def strong_membership_slack(target: Vec, image: ImageSet, cone: Cone,
                  None)
         return (False, None, None) if a is None else (True, a, None)
     target = vsub(target, vscale(eps, cone.e))
-    k = len(image.points)
-    _, ge_lhs, total, objective = _cone_products(image, cone)
-    prog = LinearProgram(
-        objective=objective,
-        eq_lhs=((1,) * k,),
-        eq_rhs=(1,),
-        ge_lhs=ge_lhs,
-        ge_rhs=tuple(-dot(row, target) for row in cone.rows),
-        lower_bounds=(0,) * k,
-    )
-    out = lp_maximize(prog, tol=tol)
+    _, prog, rows, ints = _cone_products(image, cone)
+    *rhs, neg_total = _neg_dots(rows, ints, target)
+    out = lp_maximize(prog._with_ge_rhs(tuple(rhs)), tol=tol)
     if not out.is_optimal:
         return False, None, None
-    value = out.value + dot(total, target)
+    value = out.value - neg_total  # plus sum_j a_j.target
     if gt(value, 0, tol):
         return True, None, tuple(out.point)
     return False, None, None
@@ -223,13 +211,15 @@ def dominators(image: ImageSet, cone: Cone, q: Vec, eps: Num, tol,
 
 
 def _cone_products(image: ImageSet, cone: Cone):
-    """A polytope's ``(margin_rows, slack_rows, total, objective)``: rows
-    ``(-a_j.e, -a_j.v_1, ...)``, rows ``(-a_j.v_1, ...)``, ``sum_j a_j``
-    and ``(-total.v_1, ...)``.  A finite image's ``(rows, den, coef)``,
-    None unless all is rational: ``rows[i][j] / den = a_j.y_i / a_j.e``
-    in ints, so ``margin(y_i, y_k) = min_j (rows[k][j] - rows[i][j]) /
-    den`` and equal rows are equal points (A has full column rank), and
-    ``coef[j] = a_j / a_j.e``.  Kept for the cone last asked."""
+    """A polytope's ``(margin, slack, rows, ints)``: the programs of
+    ``point_margin_with_multipliers`` and ``strong_membership_slack``
+    for the target 0, whose right-hand side ``-A.t`` is all a target
+    changes, the rows ``a_1, ..., a_J, sum_j a_j`` and their
+    ``_as_ints``.  A finite image's ``(rows, den, coef)``, None unless
+    all is rational: ``rows[i][j] / den = a_j.y_i / a_j.e`` in ints, so
+    ``margin(y_i, y_k) = min_j (rows[k][j] - rows[i][j]) / den`` and
+    equal rows are equal points (A has full column rank), and ``coef[j]
+    = a_j / a_j.e``.  Kept for the cone last asked."""
     kept = image._products
     if kept is None or kept[0] is not cone:
         kept = (cone, (_coordinates if image.is_finite else _products)(
@@ -239,10 +229,55 @@ def _cone_products(image: ImageSet, cone: Cone):
 
 
 def _products(verts, cone) -> tuple:
-    slack_rows = tuple(tuple(-dot(row, v) for v in verts) for row in cone.rows)
-    total = tuple(sum(col) for col in zip(*cone.rows))
-    return (tuple((-de,) + r for de, r in zip(cone.row_e, slack_rows)),
-            slack_rows, total, tuple(-dot(total, v) for v in verts))
+    k = len(verts)
+    rows = (*cone.rows, tuple(sum(col) for col in zip(*cone.rows)))
+    ints = _as_ints(rows)
+    *slack_rows, objective = zip(*(_neg_dots(rows, ints, v) for v in verts))
+    zeros = (0,) * len(cone.rows)
+    # max eps  s.t.  sum(lam) = 1,  A(b - eps*e - V lam) >= 0,  lam >= 0
+    margin = LinearProgram(
+        objective=(1,) + (0,) * k,
+        eq_lhs=((0,) + (1,) * k,),
+        eq_rhs=(1,),
+        ge_lhs=tuple((-de,) + r for de, r in zip(cone.row_e, slack_rows)),
+        ge_rhs=zeros,
+        lower_bounds=(None,) + (0,) * k,
+    )
+    # max sum_j a_j.(t - V lam) - total.t  over the same system, lam >= 0
+    slack = LinearProgram(
+        objective=objective,
+        eq_lhs=((1,) * k,),
+        eq_rhs=(1,),
+        ge_lhs=tuple(slack_rows),
+        ge_rhs=zeros,
+        lower_bounds=(0,) * k,
+    )
+    return margin, slack, rows, ints
+
+
+def _as_ints(rows):
+    """Each row as ``(ints, den)`` with ``row = ints / den``, or None
+    unless all is rational."""
+    if not all(is_exact(v) for r in rows for v in r):
+        return None
+    out = []
+    for r in rows:
+        den = math.lcm(*[v.denominator for v in r])
+        out.append((tuple(v.numerator * (den // v.denominator) for v in r),
+                    den))
+    return out
+
+
+def _neg_dots(rows, ints, v) -> tuple:
+    """``-r.v`` for each of ``rows``: over ints, one ``Fraction`` per
+    row, when ``ints`` (``_as_ints(rows)``) is not None and ``v`` is
+    rational; otherwise by ``dot``."""
+    if ints is None or not all(map(is_exact, v)):
+        return tuple(-dot(r, v) for r in rows)
+    d = math.lcm(*[x.denominator for x in v])
+    z = [x.numerator * (d // x.denominator) for x in v]
+    return tuple(Fraction(-sum([a * b for a, b in zip(r, z)]), den * d)
+                 for r, den in ints)
 
 
 def _coordinates(points, cone):

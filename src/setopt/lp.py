@@ -21,6 +21,20 @@ the pivot sequence, status, value and point are the same, and
 Float data, and rational data at a nonzero tolerance, keep the dense
 tableau of true entries compared within ``tol``.
 
+What a right-hand side leaves alone is prepared once per matrix: a
+program checks its objective, rows and bounds, decides whether they are
+rational and lays out its columns when it is built, and scales them for
+a tableau kind on its first solve.  ``LinearProgram._with_ge_rhs``
+copies share all of that, so a caller solving one matrix for many
+targets (a polytope image, per target point) checks and scales only the
+new right-hand side per solve.  The rows were scaled by the common
+denominator ``s`` of their own entries; a solve multiplies them by
+``lcm(s, r) // s``, ``r`` that of the right-hand sides, and scales the
+right-hand sides to ``lcm(s, r)``, so every tableau entry is the one a
+single scaling of the whole program gives, and the pivots, status, value
+and point are unchanged.  The tolerance is resolved over the program
+only when none is given.
+
 Conventions:
 
 * the objective is maximized;
@@ -32,11 +46,11 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import Num, div, dot, is_exact, num_finite, resolve_tol
+from .arith import DEFAULT_TOL, Num, div, dot, is_exact, num_finite
 from .errors import DimMismatch, IterationCapExceeded, ValidationError
 
 ITERATION_CAP = 10_000
@@ -54,38 +68,37 @@ class LinearProgram:
     ge_lhs: tuple = ()
     ge_rhs: tuple = ()
     lower_bounds: Optional[tuple] = None
+    # everything but the right-hand sides, checked once; ``_with_ge_rhs``
+    # copies share it, so its scaled forms are built once per matrix
+    _matrix: Optional[_Matrix] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
-        nv = len(self.objective)
         if len(self.eq_lhs) != len(self.eq_rhs):
             raise DimMismatch("equality matrix and rhs differ in row count")
         if len(self.ge_lhs) != len(self.ge_rhs):
             raise DimMismatch("inequality matrix and rhs differ in row count")
-        for row in list(self.eq_lhs) + list(self.ge_lhs):
-            if len(row) != nv:
-                raise DimMismatch(f"row of length {len(row)}, expected {nv}")
-        if self.lower_bounds is not None and len(self.lower_bounds) != nv:
-            raise DimMismatch("lower_bounds length differs from variable count")
-        for value in self._all_numbers():
-            if not num_finite(value):
-                raise ValidationError("non-finite coefficient in linear program")
+        object.__setattr__(self, "_matrix", _Matrix(self))
+        _check_finite((*self.eq_rhs, *self.ge_rhs))
 
-    def _all_numbers(self):
-        yield from self.objective
-        for row in self.eq_lhs:
-            yield from row
-        for row in self.ge_lhs:
-            yield from row
-        yield from self.eq_rhs
-        yield from self.ge_rhs
-        if self.lower_bounds is not None:
-            for b in self.lower_bounds:
-                if b is not None:
-                    yield b
+    def _with_ge_rhs(self, ge_rhs: tuple) -> LinearProgram:
+        """This program with ``ge_rhs`` as its inequality right-hand
+        side; only the new numbers are checked."""
+        if len(ge_rhs) != len(self.ge_lhs):
+            raise DimMismatch("inequality matrix and rhs differ in row count")
+        _check_finite(ge_rhs)
+        copy = object.__new__(LinearProgram)
+        copy.__dict__.update(self.__dict__, ge_rhs=ge_rhs)
+        return copy
 
     @property
     def num_vars(self) -> int:
         return len(self.objective)
+
+
+def _check_finite(values):
+    if not all(map(num_finite, values)):
+        raise ValidationError("non-finite coefficient in linear program")
 
 
 @dataclass(frozen=True)
@@ -106,18 +119,29 @@ class Outcome:
         return self.status == OPTIMAL
 
 
-class _Standard:
-    """Equality-form program A z = b, z >= 0, maximize c.z + const, in
-    the numbers of the tableau ``arith``: the rows and right-hand sides
-    times ``scale``, ``c`` times ``c_scale`` (both 1 on the dense
-    tableau), and ``const`` as a true value."""
+class _Matrix:
+    """A program's objective, constraint rows and lower bounds, checked
+    once: the column map of the equality form, whether all are rational,
+    and per tableau kind the rows scaled by their own common denominator
+    (``scaled``), built on first use."""
 
-    __slots__ = ("rows", "rhs", "scale", "c", "c_scale", "const", "ncols",
-                 "col_map", "nv")
+    __slots__ = ("col_map", "ncols", "exact", "_forms")
 
-    def __init__(self, prog: LinearProgram, arith):
-        nv = prog.num_vars
-        lbs = prog.lower_bounds if prog.lower_bounds is not None else (None,) * nv
+    def __init__(self, prog: LinearProgram):
+        nv = len(prog.objective)
+        for row in (*prog.eq_lhs, *prog.ge_lhs):
+            if len(row) != nv:
+                raise DimMismatch(f"row of length {len(row)}, expected {nv}")
+        lbs = prog.lower_bounds
+        if lbs is None:
+            lbs = (None,) * nv
+        elif len(lbs) != nv:
+            raise DimMismatch("lower_bounds length differs from variable count")
+        numbers = [*prog.objective, *(v for row in prog.eq_lhs for v in row),
+                   *(v for row in prog.ge_lhs for v in row),
+                   *(lb for lb in lbs if lb is not None)]
+        _check_finite(numbers)
+        self.exact = all(map(is_exact, numbers))
         col_map = []
         ncols = 0
         for lb in lbs:
@@ -127,11 +151,21 @@ class _Standard:
             else:
                 col_map.append(("shift", ncols, lb))
                 ncols += 1
-        n_eq = len(prog.eq_lhs)
-        slack0 = ncols - n_eq
-        ncols += len(prog.ge_lhs)
+        self.col_map, self.ncols = col_map, ncols + len(prog.ge_lhs)
+        self._forms = {}
+
+    def scaled(self, prog: LinearProgram, arith):
+        """``(rows, shifts, scale, lb_scale, c, c_scale, const)`` in the
+        numbers of ``arith``: the equality-form rows and their shifts
+        ``row . lb`` times ``scale * lb_scale``, ``scale`` the common
+        denominator of the rows alone; ``c`` and ``const`` as in
+        ``_Standard``.  ``prog`` is this matrix's program or a copy."""
+        form = self._forms.get(type(arith))
+        if form is not None:
+            return form
         num = arith.num
-        lb_scale = arith.scale(lb for lb in lbs if lb is not None)
+        col_map, ncols = self.col_map, self.ncols
+        lb_scale = arith.scale([e[2] for e in col_map if e[0] == "shift"])
 
         def expand(row, scale):
             """``row`` and its shift ``row . lb``, both times
@@ -150,22 +184,52 @@ class _Standard:
                     shift += num(a, scale) * num(entry[2], lb_scale)
             return out, shift
 
-        cons = [*zip(prog.eq_lhs, prog.eq_rhs), *zip(prog.ge_lhs, prog.ge_rhs)]
-        scale = arith.scale(v for row, b in cons for v in (*row, b))
-        rows, rhs = [], []
-        for k, (row, b) in enumerate(cons):
+        n_eq = len(prog.eq_lhs)
+        cons = (*prog.eq_lhs, *prog.ge_lhs)
+        slack0 = ncols - len(cons)
+        scale = arith.scale([v for row in cons for v in row])
+        rows, shifts = [], []
+        for k, row in enumerate(cons):
             out, shift = expand(row, scale)
             if k >= n_eq:
                 out[slack0 + k] = num(-1, scale * lb_scale)
             rows.append(out)
-            rhs.append(num(b, scale * lb_scale) - shift)
-
+            shifts.append(shift)
         c_scale = arith.scale(prog.objective)
         c, const = expand(prog.objective, c_scale)
-        self.rows, self.rhs, self.scale = rows, rhs, scale * lb_scale
-        self.c, self.c_scale = c, c_scale * lb_scale
-        self.const = arith.value(const, self.c_scale)
-        self.ncols, self.col_map, self.nv = ncols, col_map, nv
+        c_scale *= lb_scale
+        form = self._forms[type(arith)] = (
+            rows, shifts, scale, lb_scale, c, c_scale,
+            arith.value(const, c_scale))
+        return form
+
+
+class _Standard:
+    """Equality-form program A z = b, z >= 0, maximize c.z + const, in
+    the numbers of the tableau ``arith``: the rows and right-hand sides
+    times ``scale``, ``c`` times ``c_scale`` (both 1 on the dense
+    tableau), and ``const`` as a true value.  Only the right-hand sides
+    are new; the rest comes from ``_Matrix.scaled``, rescaled when their
+    denominators ask for it (module docstring)."""
+
+    __slots__ = ("rows", "rhs", "scale", "c", "c_scale", "const", "ncols",
+                 "col_map")
+
+    def __init__(self, prog: LinearProgram, arith):
+        mat = prog._matrix
+        rows, shifts, scale, lb_scale, c, c_scale, const = mat.scaled(prog,
+                                                                      arith)
+        rhs = (*prog.eq_rhs, *prog.ge_rhs)
+        full = math.lcm(scale, arith.scale(rhs))
+        if full != scale:
+            f = full // scale
+            rows = [[v * f for v in row] for row in rows]
+            shifts = [v * f for v in shifts]
+        full *= lb_scale
+        self.rows = rows
+        self.rhs = [arith.num(b, full) - v for b, v in zip(rhs, shifts)]
+        self.scale, self.c, self.c_scale, self.const = full, c, c_scale, const
+        self.ncols, self.col_map = mat.ncols, mat.col_map
 
     def recover(self, z) -> tuple:
         out = []
@@ -347,10 +411,19 @@ def _extract(std: _Standard, tab, basis, arith) -> tuple:
     return std.recover(z)
 
 
+def _exact(prog: LinearProgram) -> bool:
+    """Whether every number of ``prog`` is rational."""
+    return prog._matrix.exact and all(
+        map(is_exact, (*prog.eq_rhs, *prog.ge_rhs)))
+
+
 def _arith(prog: LinearProgram, tol):
-    """The integer tableau for rational data at tolerance 0, else the dense one."""
-    tol = resolve_tol(tol, *prog._all_numbers())
-    if tol == 0 and all(map(is_exact, prog._all_numbers())):
+    """The integer tableau for rational data at tolerance 0, else the
+    dense one; ``tol`` is resolved over the program only when None."""
+    exact = _exact(prog)
+    if tol is None:
+        tol = 0 if exact else DEFAULT_TOL
+    if tol == 0 and exact:
         return _Integral()
     return _Dense(tol)
 
@@ -387,7 +460,8 @@ def lp_maximize(prog: LinearProgram, tol=None) -> Outcome:
 
 def check_point(prog: LinearProgram, point: Sequence[Num], tol=None) -> bool:
     """Verify that a point satisfies every constraint within tolerance."""
-    tol = resolve_tol(tol, *prog._all_numbers())
+    if tol is None:
+        tol = 0 if _exact(prog) else DEFAULT_TOL
     for row, b in zip(prog.eq_lhs, prog.eq_rhs):
         if abs(dot(row, point) - b) > tol:
             return False

@@ -66,22 +66,33 @@ def set_relation(a: ImageSet, b: ImageSet, cone: Cone, kind: str,
         raise ValueError("eps must be nonnegative")
     tol = resolve_tol(tol, eps, *(v for p in a.points for v in p),
                       *(v for p in b.points for v in p))
+    if kind != LOWER_STRONG:
+        return _margin_relation(
+            a, b, cone, kind, eps, tol,
+            lambda t: point_margin_with_multipliers(t, a, cone, tol))
     witnesses = []
     for target in b.points:
-        if kind == LOWER_STRONG:
-            holds, point, lam = strong_membership_slack(target, a, cone,
-                                                        tol, eps)
-            if not holds:
-                return False, RelationCertificate(False, kind, eps,
-                                                  failing_target=target)
-            witnesses.append(RelationWitness(target, point, lam))
-            continue
+        holds, point, lam = strong_membership_slack(target, a, cone, tol, eps)
+        if not holds:
+            return False, RelationCertificate(False, kind, eps,
+                                              failing_target=target)
+        witnesses.append(RelationWitness(target, point, lam))
+    return True, RelationCertificate(True, kind, eps, tuple(witnesses))
+
+
+def _margin_relation(a: ImageSet, b: ImageSet, cone: Cone, kind: str,
+                     eps: Num, tol, margin_of):
+    """``set_relation`` for ``lower`` and ``lower_strict`` at a resolved
+    tol; ``margin_of(target)`` is ``point_margin_with_multipliers`` of
+    ``target`` against a polytope A, or a stored copy of it."""
+    witnesses = []
+    for target in b.points:
         point = lam = None
         if a.is_finite:  # the first point with the largest margin
             mu, best = _finite_margin(target, a, cone)
             point = a.points[best]
         else:
-            mu, lam = point_margin_with_multipliers(target, a, cone, tol)
+            mu, lam = margin_of(target)
         ok = gt(mu, eps, tol) if kind == LOWER_STRICT else ge(mu, eps, tol)
         if not ok:
             return False, RelationCertificate(False, kind, eps,

@@ -9,9 +9,11 @@ iff no x_i excludes it.  With S[i][k] the largest shift with
 * type-two: the strong relation holds at shift eps.
 
 One scan per candidate meets the first such x_i in index order and
-certifies the relation that excludes.  Quantifiers run over the whole
-decision list including the candidate itself, exactly as the solution
-concepts are defined.
+certifies the relation that excludes; the weak and type-one
+certificates are built from the point margins and multipliers that
+built S, with no second solve.  Quantifiers run over the whole decision
+list including the candidate itself, exactly as the solution concepts
+are defined.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .arith import Num, format_number, ge, gt
 from .errors import ValidationError
 from .instance import Instance
 from .setrelations import (LOWER, LOWER_STRICT, LOWER_STRONG,
-                           RelationCertificate, set_relation)
+                           RelationCertificate, _margin_relation, set_relation)
 
 WEAK = "weak"
 TYPE_ONE = "type1"
@@ -104,10 +106,11 @@ def solve_direct(inst: Instance, concept: str, eps: Num = 0,
         else:
             members.append(labels[j])
             continue
-        if concept != TYPE_TWO:
-            _, cert = set_relation(images[i], images[j], cone,
-                                   LOWER_STRICT if concept == WEAK else LOWER,
-                                   eps, tol)
+        if concept != TYPE_TWO:  # from the margins that built S
+            _, cert = _margin_relation(
+                images[i], images[j], cone,
+                LOWER_STRICT if concept == WEAK else LOWER, eps, tol,
+                lambda target: inst.point_margin(i, target, tol))
         certificates[labels[j]] = ExclusionCertificate(
             labels[i], cert, mat[j][i] if concept == TYPE_ONE else None)
     thresholds = weak_threshold(inst, tol) if concept == WEAK else None

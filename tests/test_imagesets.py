@@ -1,17 +1,21 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from setopt.cone import margin
+import setopt.imagesets
+from setopt.arith import dot
+from setopt.cone import margin, validate_cone
 from setopt.errors import EmptyImage, ValidationError
 from setopt.imagesets import (_in_hull, covering_number_internal,
                               domination_check, finite_set, hausdorff,
                               hausdorff_sq,
                               min_elements, minimal_vertices, point_margin,
-                              polytope, prune_to_extreme,
-                              strong_membership_slack)
+                              point_margin_with_multipliers, polytope,
+                              prune_to_extreme, strong_membership_slack)
+from setopt.lp import LinearProgram, lp_maximize
 
 
 def pts(*coords):
@@ -293,3 +297,167 @@ def test_strong_membership_slack_boundary(orthant):
             holds, point, lam = strong_membership_slack(
                 (2 + eps, 1 + eps), seg, orthant, eps=eps)
             assert holds and (point if seg.is_finite else lam) is not None
+
+
+# cones (rows, e) in R^2 and R^3: the orthant and a skew cone each; the
+# skew rows have denominators of their own
+DIFF_CONES = (
+    (((1, 0), (0, 1)), (1, 1)),
+    (((1, F(-1, 3)), (F(-1, 2), 1)), (1, 1)),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 1, 1)),
+    (((2, -1, 0), (0, 2, -1), (F(-1, 2), 0, 2)), (1, 1, 1)),
+)
+# mode -> (number conversion, tol passed by the caller)
+DIFF_MODES = {
+    "exact": (F, None),
+    "float": (float, None),
+    "exact_tol": (F, F(1, 1000)),
+}
+
+
+def _bits(x):
+    """``x`` with every float as its hex string, so that an equality
+    compares floats bit for bit (signed zeros included) and numbers by
+    type as well as value."""
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_bits, x))
+    if isinstance(x, float):
+        return x.hex()
+    return type(x).__name__, x
+
+
+def _fresh_margin(b, verts, cone):
+    """The point-margin program of ``b``, built from scratch."""
+    k = len(verts)
+    return LinearProgram(
+        objective=(1,) + (0,) * k,
+        eq_lhs=((0,) + (1,) * k,),
+        eq_rhs=(1,),
+        ge_lhs=tuple((-dot(a, cone.e),) + tuple(-dot(a, v) for v in verts)
+                     for a in cone.rows),
+        ge_rhs=tuple(-dot(a, b) for a in cone.rows),
+        lower_bounds=(None,) + (0,) * k)
+
+
+def _fresh_slack(t, verts, cone):
+    """The strong-slack program of the shifted target ``t``."""
+    total = tuple(sum(col) for col in zip(*cone.rows))
+    k = len(verts)
+    return LinearProgram(
+        objective=tuple(-dot(total, v) for v in verts),
+        eq_lhs=((1,) * k,),
+        eq_rhs=(1,),
+        ge_lhs=tuple(tuple(-dot(a, v) for v in verts) for a in cone.rows),
+        ge_rhs=tuple(-dot(a, t) for a in cone.rows),
+        lower_bounds=(0,) * k)
+
+
+def _integral_twin(prog):
+    """``prog`` with every constraint row and right-hand side times
+    their common denominator: integer data, the same feasible set, and
+    at tol 0 the same integer tableau, so the same pivots."""
+    rows = [*zip(prog.eq_lhs, prog.eq_rhs), *zip(prog.ge_lhs, prog.ge_rhs)]
+    den = math.lcm(*[F(v).denominator for row, b in rows for v in (*row, b)])
+
+    def scaled(pairs):
+        return (tuple(tuple(int(v * den) for v in row) for row, _ in pairs),
+                tuple(int(b * den) for _, b in pairs))
+
+    (eq_lhs, eq_rhs), (ge_lhs, ge_rhs) = (
+        scaled(rows[:len(prog.eq_lhs)]), scaled(rows[len(prog.eq_lhs):]))
+    return LinearProgram(prog.objective, eq_lhs, eq_rhs, ge_lhs, ge_rhs,
+                         prog.lower_bounds)
+
+
+def _diff_cases(num):
+    """Seeded ``(cone, image, targets)``: vertices, vertices shifted
+    along e, and points with denominators 7, 11 and 13, so that the
+    common denominator of the right-hand side changes from target to
+    target."""
+    rng = random.Random(41)
+    for rows, e in DIFF_CONES:
+        cone = validate_cone([[num(v) for v in r] for r in rows],
+                             [num(v) for v in e])
+        m = len(e)
+        for _ in range(3):
+            verts = [tuple(num(F(rng.randint(-9, 9), rng.randint(1, 4)))
+                           for _ in range(m))
+                     for _ in range(rng.randint(2, 5))]
+            shift = num(F(rng.choice((-1, 1)), rng.randint(2, 5)))
+            targets = (verts
+                       + [tuple(y + shift * c for y, c in zip(v, cone.e))
+                          for v in verts]
+                       + [tuple(num(F(rng.randint(-40, 40), den))
+                                for _ in range(m)) for den in (7, 11, 13)])
+            yield cone, polytope(verts), targets
+
+
+@pytest.mark.parametrize("mode", sorted(DIFF_MODES))
+def test_prepared_programs_match_fresh_programs(mode, monkeypatch):
+    """Each polytope image solves its margin and slack programs with a
+    new right-hand side only; every solve answers as the same program
+    built from scratch: status, value and point, floats bit for bit.
+    Exact programs also answer as their integer twins, which need no
+    common denominator of rows and right-hand sides."""
+    num, tol = DIFF_MODES[mode]
+    solved = []
+
+    def recorded(prog, tol=None):
+        out = lp_maximize(prog, tol)
+        solved.append((prog, tol, out))
+        return out
+
+    monkeypatch.setattr(setopt.imagesets, "lp_maximize", recorded)
+    cases = kinds = 0
+    for cone, image, targets in _diff_cases(num):
+        verts = image.points
+        for t in targets:
+            for eps in (num(0), num(F(1, 5))):
+                solved.clear()
+                mu, lam = point_margin_with_multipliers(t, image, cone, tol)
+                holds, _, slack_lam = strong_membership_slack(
+                    t, image, cone, tol, eps)
+                shifted = tuple(y - eps * c for y, c in zip(t, cone.e))
+                fresh = (_fresh_margin(t, verts, cone),
+                         _fresh_slack(shifted, verts, cone))
+                assert len(solved) == 2
+                for (prog, used_tol, out), new in zip(solved, fresh):
+                    assert _bits(prog.ge_rhs) == _bits(new.ge_rhs)
+                    assert _bits(prog.ge_lhs) == _bits(new.ge_lhs)
+                    assert _bits(prog.objective) == _bits(new.objective)
+                    want = lp_maximize(new, used_tol)
+                    if mode == "exact":  # also against a wrong row scale
+                        twin = lp_maximize(_integral_twin(new), 0)
+                        assert _bits(want) == _bits(twin)
+                    assert out.status == want.status
+                    assert _bits((out.value, out.point)) == _bits(
+                        (want.value, want.point))
+                    kinds |= 1 << ["optimal", "infeasible"].index(out.status)
+                margin_out, slack_out = solved[0][2], solved[1][2]
+                if margin_out.is_optimal:
+                    assert _bits((mu, lam)) == _bits(
+                        (margin_out.value, margin_out.point[1:]))
+                assert (slack_lam is not None) == holds
+                if holds:
+                    assert _bits(slack_lam) == _bits(slack_out.point)
+                cases += 1
+    assert cases > 200 and kinds == 3
+
+
+def test_image_under_two_cones_answers_as_fresh_images(orthant, skew_cone):
+    # an image keeps the programs of the cone last asked; asking another
+    # cone replaces them, and asking the first again rebuilds them
+    verts = pts((0, 3), (1, 1), (3, 0), (F(5, 2), F(5, 2)))
+    targets = verts + pts((2, 2), (F(1, 3), F(17, 7)), (-1, 4), (F(9, 2), 0))
+
+    def answers(image, cone):
+        return ([point_margin_with_multipliers(t, image, cone)
+                 for t in targets] +
+                [strong_membership_slack(t, image, cone, eps=eps)
+                 for t in targets for eps in (0, F(1, 4))] +
+                [minimal_vertices(image, cone)])
+
+    image = polytope(verts)
+    for cone in (orthant, skew_cone, orthant, skew_cone):
+        assert answers(image, cone) == answers(polytope(verts), cone)
+        assert image._products[0] is cone

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +13,8 @@ from setopt.instance import (Decision, Instance, build_instance,
                              from_json_dict, halfplane_vertices,
                              instance_distance, instance_distance_sq, load,
                              make_example, save, to_json_dict)
+from setopt.solver_direct import TYPE_TWO, WEAK, solve_direct
+from setopt.vectorizer import VP_MIN, membership_vp
 
 
 def test_round_trip_exact(tmp_path):
@@ -248,3 +252,23 @@ def test_bad_image_type_named_in_parse_error():
             "decisions": [{"label": "a", "x": [0]}],
             "images": [{"type": "blob", "points": [[0, 0]]}],
         })
+
+
+def test_polytope_programs_live_and_die_with_their_instance(tmp_path):
+    # every prepared program hangs off its image, and nothing else holds
+    # the image, its cone or the instance once the caller lets go
+    path = tmp_path / "poly.json"
+    params = {"seed": 5, "g": 5, "n": 1}
+    save(make_example("convex_polyhedral", params, exact=True), path)
+    inst = load(path, exact=True)
+    solve_direct(inst, WEAK)
+    solve_direct(inst, TYPE_TWO)
+    membership_vp(inst, 1, 0, VP_MIN)
+    kept = [img._products for img in inst.images]
+    assert all(k is not None and k[0] is inst.cone for k in kept)
+    refs = [weakref.ref(x) for x in (inst, inst.cone, *inst.images,
+                                     *(prog for k in kept
+                                       for prog in k[1][:2]))]
+    del inst, kept
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)

@@ -3,10 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
+import setopt.imagesets
 from setopt.errors import ValidationError
 from setopt.imagesets import finite_set
 from setopt.instance import Decision, build_instance, make_example
-from setopt.setrelations import verify_certificate
+from setopt.lp import lp_maximize
+from setopt.setrelations import (LOWER, LOWER_STRICT, set_relation,
+                                 verify_certificate)
 from setopt.solver_direct import (TYPE_ONE, TYPE_TWO, WEAK, solve_direct,
                                   weak_threshold)
 
@@ -54,6 +57,33 @@ def test_polytope_fan_type_one_smallest_only():
     inst = make_example("t_one", {"g": 3}, exact=True)
     assert solve_direct(inst, TYPE_ONE, 0).members == ("1/4",)
     assert solve_direct(inst, TYPE_TWO, 0).members == ("1/4", "3/8", "1/2")
+
+
+@pytest.mark.parametrize("concept, kind", [(WEAK, LOWER_STRICT),
+                                           (TYPE_ONE, LOWER)])
+def test_exclusion_certificates_solve_no_second_program(concept, kind,
+                                                        monkeypatch):
+    # the 75 programs of the margin matrix S (5 images of 3 vertices, 5
+    # targets each) are all: every certificate reuses their multipliers
+    solves = []
+
+    def counted(prog, tol=None):
+        solves.append(prog)
+        return lp_maximize(prog, tol)
+
+    monkeypatch.setattr(setopt.imagesets, "lp_maximize", counted)
+    params = {"seed": 5, "g": 5, "n": 1}
+    inst = make_example("convex_polyhedral", params, exact=True)
+    report = solve_direct(inst, concept)
+    assert len(solves) == 75
+    assert len(report.certificates) == 4
+    monkeypatch.undo()
+    fresh = make_example("convex_polyhedral", params, exact=True)
+    for label, cert in report.certificates.items():
+        a = fresh.image_of(cert.dominated_by)
+        b = fresh.image_of(label)
+        assert cert.relation == set_relation(a, b, fresh.cone, kind)[1]
+        assert verify_certificate(a, b, fresh.cone, cert.relation)
 
 
 def test_weak_matches_definition_oracle():
