@@ -47,6 +47,18 @@ def gt(a: Num, b: Num, tol: Num) -> bool:
     return a > b + tol
 
 
+def lcd(values) -> int:
+    """The least common denominator of rational ``values``."""
+    # a list, not a generator: unpacking a generator into math.lcm
+    # grew the heap with every call on CPython 3.11
+    return math.lcm(*[v.denominator for v in values])
+
+
+def ints_over(values, den) -> tuple:
+    """Rational ``values`` times ``den``, a common denominator, as ints."""
+    return tuple([v.numerator * (den // v.denominator) for v in values])
+
+
 def num_finite(x: Num) -> bool:
     if isinstance(x, float):
         return math.isfinite(x)

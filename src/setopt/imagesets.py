@@ -1,22 +1,22 @@
 """Image sets: finite point lists and polytopes given by vertices.
 
 Operations on the values of a set-valued objective: minimal and weakly
-minimal elements, the point margin against a shifted set, the points
-that dominate a shifted point, Hausdorff distance, internal covering
+minimal elements, point margins with their witnesses, the points that
+dominate a shifted point, Hausdorff distance, internal covering
 numbers, extreme-point pruning, and the domination (external
 stability) check.
 
-An image keeps, for the last cone asked, the data its questions share.
-A polytope keeps its two linear programs, the point margin and the
-strong slack, built on the cone products ``a_j.v`` of its vertices and
-prepared once (``lp``); a target changes only their right-hand side
-``-A.t``, formed over ints for rational data.  A rational finite image
-keeps the cone coordinates ``a_j.y / a_j.e`` of its points as ints over
-one denominator, so that exact finite margins and dominance scans are
-integer arithmetic (floats keep ``cone.margin``).  The kept data lives
-and dies with the image.  Extreme-point pruning sweeps the hull (Andrew's
-monotone chain) for exact planar vertex lists and solves one linear
-program per vertex otherwise.
+Every question about a finite image reads the margins of its points to
+one target from one kernel, ``_Margins``: on rational data at tol 0
+they are ints over one denominator, from the cone coordinates
+``a_j.y / a_j.e`` the image keeps as int rows, otherwise ``cone.margin``
+values compared within tol.  A polytope keeps its two linear programs,
+the point margin and the strong slack, prepared once on the cone
+products ``a_j.v`` of its vertices (``lp``); a target changes only
+their right-hand side ``-A.t``.  An image keeps this data for the last
+cone asked.  Extreme-point pruning sweeps the hull (Andrew's monotone
+chain) for exact planar vertex lists and solves one linear program per
+vertex otherwise.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 
-from .arith import (Num, Vec, dist_sq, dot, ge, gt, is_exact, num_finite,
-                    resolve_tol, veq, vscale, vsub)
+from .arith import (Num, Vec, dist_sq, dot, ge, gt, ints_over, is_exact, lcd,
+                    num_finite, resolve_tol, veq, vscale, vsub)
 from .cone import Cone, margin
 from .errors import DimMismatch, EmptyImage, ValidationError
 from .lp import LinearProgram, lp_feasible, lp_maximize
@@ -79,12 +80,51 @@ def polytope(vertices) -> ImageSet:
     return ImageSet(POLYTOPE, _checked(vertices))
 
 
-def _dedupe(points):
-    seen = []
-    for p in points:
-        if p not in seen:
-            seen.append(p)
-    return seen
+class _Margins:
+    """The margin kernel of finite images: for a target ``q``, a point
+    or the index of one of the image's points, ``margins`` yields
+    ``margin(y, q)`` for each point ``y``, lazily and in image order;
+    ``positions`` are the points' positions and ``t`` that of ``q``.  On
+    rational data at tol 0 or None (margins are the same numbers either
+    way; only thresholds read tol) a position is an int row of cone
+    coordinates over ``den``, equal only for equal points as A has full
+    column rank (an own target's row is read, not converted again), and
+    a margin the int ``min_j t_j - w_j``.  Otherwise positions are the
+    points, margins ``cone.margin`` values and ``den`` None."""
+
+    def __init__(self, image: ImageSet, cone: Cone, q, tol):
+        own = isinstance(q, int)
+        coords = None if tol else _cone_products(image, cone)
+        self.tol, self.e, self.den = tol, cone.e, None
+        if coords is None or not (own or all(map(is_exact, q))):
+            q = self.t = image.points[q] if own else q
+            self.positions = image.points
+            self.margins = (margin(y, q, cone) for y in image.points)
+            return
+        rows, den, coef = coords
+        t, d = (rows[q], 1) if own else _target(q, coef, den)
+        if d != 1:
+            rows = [tuple([d * v for v in w]) for w in rows]
+        self.den, self.t, self.positions = den * d, t, rows
+        self.margins = (min(map(sub, t, w)) for w in rows)
+
+    def bars(self, eps, distinct=False):
+        """``(lo, hi, at_peak)``: a margin is ``>= eps`` within tol iff
+        ``>= lo`` and ``> eps`` within tol iff ``> hi`` (over ints, once
+        per call, ``ceil`` and ``floor`` of ``eps * den``); with
+        ``distinct``, ``at_peak(w)`` tells whether ``w`` is the position
+        of ``q - eps*e`` (None when no int row can be)."""
+        if self.den is None:
+            peak = vsub(self.t, vscale(eps, self.e)) if distinct else None
+            return (eps - self.tol, eps + self.tol,
+                    peak and (lambda w: veq(w, peak, self.tol)))
+        shift = (eps if is_exact(eps) else Fraction(eps)) * self.den
+        lo, hi = math.ceil(shift), math.floor(shift)
+        return lo, hi, (tuple([v - lo for v in self.t]).__eq__
+                        if distinct and lo == hi else None)
+
+    def value(self, m) -> Num:
+        return m if self.den is None else Fraction(m, self.den)
 
 
 def min_elements(image: ImageSet, cone: Cone, weak: bool = False,
@@ -97,31 +137,19 @@ def min_elements(image: ImageSet, cone: Cone, weak: bool = False,
     if not image.is_finite:
         raise ValidationError("min_elements is defined for finite images only")
     tol = resolve_tol(tol, *(v for p in image.points for v in p))
-    coords = _cone_products(image, cone) if tol == 0 else None
-    if coords is not None:
-        # not via dominators, which converts each point's row again per call
-        first = {}
-        for row, p in zip(coords[0], image.points):
-            first.setdefault(row, p)
-        # an int margin is >= 1 exactly when it is > 0
-        return tuple(p for row, p in first.items() if not any(
-            w != row and _least(row, w) >= int(weak) for w in first))
-    pts = _dedupe(image.points)
-    kept = []
-    for p in pts:
-        for q in pts:
-            if q == p:
-                continue
-            mg = margin(q, p, cone)
-            # within tol of each other, p and q each lie below the other,
-            # so p drops only below a q it does not lie under in turn;
-            # margin(p, q) <= -mg, so that needs a look only if mg <= tol
-            if (gt(mg, 0, tol) if weak else ge(mg, 0, tol)) and (
-                    mg > tol or not ge(margin(p, q, cone), 0, tol)):
-                break
-        else:
-            kept.append(p)
-    return tuple(kept)
+    # each distinct point, in image order, and an index it has
+    index = dict(zip(image.points, range(len(image.points))))
+
+    def below(i, strict=False):  # the points within tol below point i
+        return dominators(image, cone, i, 0, tol, strict)
+    if weak:
+        return tuple(p for p, i in index.items() if not any(below(i, True)))
+    # within tol of each other, p and q each lie below the other, so p
+    # drops only below a q it does not lie under in turn (at tol 0 any
+    # distinct q below p, as K is pointed); a q strictly below p never
+    # has p below it, since margin(p, q) <= -margin(q, p)
+    return tuple(p for p, i in index.items()
+                 if all(q == p or p in below(index[q]) for q in below(i)))
 
 
 def point_margin(b: Vec, image: ImageSet, cone: Cone, tol=None) -> Num:
@@ -131,18 +159,29 @@ def point_margin(b: Vec, image: ImageSet, cone: Cone, tol=None) -> Num:
     LP over convex multipliers.  Returns ``-inf`` only if the LP is
     numerically degenerate (impossible for finite images).
     """
-    mu, _ = point_margin_with_multipliers(b, image, cone, tol)
-    return mu
+    return point_margin_with_multipliers(b, image, cone, tol)[0]
 
 
 def point_margin_with_multipliers(b: Vec, image: ImageSet, cone: Cone,
                                   tol=None):
     """As ``point_margin`` but also returns the convex multipliers
     (``None`` for finite images, where the witness is the argmax point)."""
-    if image.is_finite:
-        return _finite_margin(b, image, cone)[0], None
+    mu, witness = point_margin_with_witness(b, image, cone, tol)
+    return mu, None if image.is_finite else witness
+
+
+def point_margin_with_witness(b: Vec, image: ImageSet, cone: Cone,
+                              tol=None):
+    """``(point_margin, witness)``: for a finite image the first point
+    attaining the margin, for a polytope the convex multipliers of the
+    margin program (None when it is degenerate)."""
     if len(b) != cone.m:
         raise DimMismatch("point dimension differs from cone dimension")
+    if image.is_finite:
+        scan = _Margins(image, cone, b, tol)
+        ms = list(scan.margins)
+        best = max(ms)
+        return scan.value(best), image.points[ms.index(best)]
     prog, _, rows, ints = _cone_products(image, cone)
     prog = prog._with_ge_rhs(_neg_dots(rows, ints, b)[:-1])
     out = lp_maximize(prog, tol=tol)
@@ -188,38 +227,23 @@ def dominators(image: ImageSet, cone: Cone, q: Vec, eps: Num, tol,
                strict: bool = False, distinct: bool = False):
     """The points ``y`` of a finite image, in image order, that dominate
     ``q`` at the shift: ``margin(y, q) >= eps`` (``> eps`` when
-    ``strict``), and ``y != q - eps*e`` when ``distinct``.
-
-    At tol 0 on rational data this compares integer cone coordinates;
-    otherwise ``cone.margin`` is compared with ``eps`` within ``tol``.
-    """
-    scaled = _scaled(image, cone, q) if tol == 0 and is_exact(eps) else None
-    if scaled is not None:
-        rows, z, den = scaled
-        shift = eps * den
-        # an int margin is > shift exactly when it is >= floor(shift) + 1;
-        # only equal points have equal rows, and no int row equals a
-        # non-integral peak
-        bar = math.floor(shift) + 1 if strict else math.ceil(shift)
-        peak = tuple(v - shift for v in z) if distinct else None
-        return (y for y, w in zip(image.points, rows)
-                if _least(z, w) >= bar and w != peak)
-    above = gt if strict else ge
-    peak = vsub(q, vscale(eps, cone.e)) if distinct else None
-    return (y for y in image.points if above(margin(y, q, cone), eps, tol)
-            and not (distinct and veq(y, peak, tol)))
+    ``strict``), and ``y != q - eps*e`` when ``distinct``, each within
+    ``tol``.  ``q`` is a point, or the index of one of the image's."""
+    scan = _Margins(image, cone, q, tol)
+    lo, hi, at_peak = scan.bars(eps, distinct)
+    return (y for y, m, w in zip(image.points, scan.margins, scan.positions)
+            if (m > hi if strict else m >= lo)
+            and not (at_peak and at_peak(w)))
 
 
 def _cone_products(image: ImageSet, cone: Cone):
     """A polytope's ``(margin, slack, rows, ints)``: the programs of
-    ``point_margin_with_multipliers`` and ``strong_membership_slack``
-    for the target 0, whose right-hand side ``-A.t`` is all a target
-    changes, the rows ``a_1, ..., a_J, sum_j a_j`` and their
-    ``_as_ints``.  A finite image's ``(rows, den, coef)``, None unless
-    all is rational: ``rows[i][j] / den = a_j.y_i / a_j.e`` in ints, so
-    ``margin(y_i, y_k) = min_j (rows[k][j] - rows[i][j]) / den`` and
-    equal rows are equal points (A has full column rank), and ``coef[j]
-    = a_j / a_j.e``.  Kept for the cone last asked."""
+    ``point_margin_with_witness`` and ``strong_membership_slack`` for
+    the target 0, whose right-hand side ``-A.t`` is all a target
+    changes, the rows ``a_1, ..., a_J, sum_j a_j`` and those as ints.
+    A finite image's ``(rows, den, coef)``, None unless all is rational:
+    ``rows[i][j] / den = a_j.y_i / a_j.e`` in ints and ``coef[j] = a_j /
+    a_j.e``.  Kept for the cone last asked."""
     kept = image._products
     if kept is None or kept[0] is not cone:
         kept = (cone, (_coordinates if image.is_finite else _products)(
@@ -231,7 +255,9 @@ def _cone_products(image: ImageSet, cone: Cone):
 def _products(verts, cone) -> tuple:
     k = len(verts)
     rows = (*cone.rows, tuple(sum(col) for col in zip(*cone.rows)))
-    ints = _as_ints(rows)
+    # each row as (ints, den), row = ints / den, when all is rational
+    ints = ([(ints_over(r, den), den) for r in rows for den in [lcd(r)]]
+            if all(is_exact(v) for r in rows for v in r) else None)
     *slack_rows, objective = zip(*(_neg_dots(rows, ints, v) for v in verts))
     zeros = (0,) * len(cone.rows)
     # max eps  s.t.  sum(lam) = 1,  A(b - eps*e - V lam) >= 0,  lam >= 0
@@ -255,27 +281,14 @@ def _products(verts, cone) -> tuple:
     return margin, slack, rows, ints
 
 
-def _as_ints(rows):
-    """Each row as ``(ints, den)`` with ``row = ints / den``, or None
-    unless all is rational."""
-    if not all(is_exact(v) for r in rows for v in r):
-        return None
-    out = []
-    for r in rows:
-        den = math.lcm(*[v.denominator for v in r])
-        out.append((tuple(v.numerator * (den // v.denominator) for v in r),
-                    den))
-    return out
-
-
 def _neg_dots(rows, ints, v) -> tuple:
     """``-r.v`` for each of ``rows``: over ints, one ``Fraction`` per
-    row, when ``ints`` (``_as_ints(rows)``) is not None and ``v`` is
-    rational; otherwise by ``dot``."""
+    row, when ``ints`` (the rows as ints over their denominators) is not
+    None and ``v`` is rational; otherwise by ``dot``."""
     if ints is None or not all(map(is_exact, v)):
         return tuple(-dot(r, v) for r in rows)
-    d = math.lcm(*[x.denominator for x in v])
-    z = [x.numerator * (d // x.denominator) for x in v]
+    d = lcd(v)
+    z = ints_over(v, d)
     return tuple(Fraction(-sum([a * b for a, b in zip(r, z)]), den * d)
                  for r, den in ints)
 
@@ -285,47 +298,17 @@ def _coordinates(points, cone):
         return None
     coef = tuple(tuple(Fraction(a) / de for a in row)
                  for row, de in zip(cone.rows, cone.row_e))
-    zs = [_target(p, coef, 1) for p in points]
-    den = math.lcm(*[d for _, d in zs])
-    return tuple(tuple(v * (den // d) for v in z) for z, d in zs), den, coef
+    zs = [[dot(crow, p) for crow in coef] for p in points]
+    den = lcd([v for z in zs for v in z])
+    return tuple(ints_over(z, den) for z in zs), den, coef
 
 
 def _target(point, coef, den):
     """``(ints, d)``: the cone coordinates of a rational point times
     ``den``, as ints over a positive ``d``."""
-    z = [sum(c * y for c, y in zip(crow, point)) * den for crow in coef]
-    d = math.lcm(*[v.denominator for v in z])
-    return tuple(v.numerator * (d // v.denominator) for v in z), d
-
-
-def _scaled(image: ImageSet, cone: Cone, point):
-    """``(rows, z, den)``: the integer coordinates of a finite image's
-    points and of ``point`` over one denominator, or None."""
-    coords = _cone_products(image, cone)
-    if coords is None or not all(map(is_exact, point)):
-        return None
-    z, d = _target(point, coords[2], coords[1])
-    rows = coords[0] if d == 1 else [tuple(d * v for v in w)
-                                     for w in coords[0]]
-    return rows, z, coords[1] * d
-
-
-def _least(t, w) -> int:
-    """``min_j t_j - w_j``: the scaled margin of row ``w`` to row ``t``."""
-    return min([a - b for a, b in zip(t, w)])
-
-
-def _finite_margin(b: Vec, image: ImageSet, cone: Cone):
-    """``(point margin, i)`` of ``b`` against a finite image, ``i`` the
-    first point attaining it."""
-    if len(b) != cone.m:
-        raise DimMismatch("point dimension differs from cone dimension")
-    scaled = _scaled(image, cone, b)
-    mus = ([margin(a, b, cone) for a in image.points] if scaled is None
-           else [_least(scaled[1], w) for w in scaled[0]])
-    best = max(mus)
-    return (best if scaled is None else Fraction(best, scaled[2]),
-            mus.index(best))
+    z = [dot(crow, point) * den for crow in coef]
+    d = lcd(z)
+    return ints_over(z, d), d
 
 
 def minimal_vertices(image: ImageSet, cone: Cone, tol=None) -> tuple:
@@ -390,7 +373,7 @@ def covering_number_internal(image: ImageSet, eps: Num,
 def cover_by_sq_radius(points, radius_sq: Num, exact_cap: int = EXACT_COVER_CAP,
                        tol=None) -> CoveringResult:
     tol = resolve_tol(tol, *(v for p in points for v in p), radius_sq)
-    pts = _dedupe(tuple(tuple(p) for p in points))
+    pts = list(dict.fromkeys(tuple(p) for p in points))
     n = len(pts)
     cover = [frozenset(j for j in range(n)
                        if dist_sq(pts[i], pts[j]) <= radius_sq + tol)
@@ -445,7 +428,7 @@ def _exact_cover(cover, n, incumbent):
 def prune_to_extreme(vertices, tol=None) -> tuple:
     """Drop duplicates and every point expressible as a convex
     combination of the others (idempotent), keeping the input order."""
-    pts = _dedupe(tuple(tuple(p) for p in vertices))
+    pts = list(dict.fromkeys(tuple(p) for p in vertices))
     if not pts:
         raise EmptyImage("vertex list must be nonempty")
     if len(pts) == 1:

@@ -24,7 +24,7 @@ from .errors import (DimMismatch, DuplicateLabel, EmptyImage, ParseError,
                      ValidationError)
 from .imagesets import (FINITE, POLYTOPE, ImageSet, cover_by_sq_radius,
                         finite_set, hausdorff_sq, min_elements,
-                        minimal_vertices, point_margin_with_multipliers,
+                        minimal_vertices, point_margin_with_witness,
                         polytope, prune_to_extreme)
 
 EXAMPLE_NAMES = ("t_one", "strict_min", "cantor", "mfdvp", "mfdvp_polytope",
@@ -84,11 +84,11 @@ class Instance:
         return tables
 
     def point_margin(self, j: int, point: tuple, tol):
-        """``point_margin_with_multipliers`` of ``point`` against image
-        ``j``, computed once per tol."""
+        """``point_margin_with_witness`` of ``point`` against image ``j``,
+        computed once per tol."""
         margins = self._tables(tol)[0][j]
         if point not in margins:
-            margins[point] = point_margin_with_multipliers(
+            margins[point] = point_margin_with_witness(
                 point, self.images[j], self.cone, tol)
         return margins[point]
 
@@ -103,13 +103,17 @@ class Instance:
 
     def pool(self, i: int, tol) -> tuple:
         """Minimal points of finite image ``i``, or the minimal vertices
-        of a polytope, computed once per tol."""
+        of a polytope, computed once per tol; none, possible at a positive
+        tol, raises ``ValidationError``."""
         pools = self._tables(tol)[1]
         if i not in pools:
             img = self.images[i]
             pools[i] = (min_elements(img, self.cone, weak=False, tol=tol)
                         if img.is_finite
                         else minimal_vertices(img, self.cone, tol))
+        if not pools[i]:
+            raise ValidationError(f"decision {self.decisions[i].label!r} "
+                                  f"has an empty candidate pool at tol {tol}")
         return pools[i]
 
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import DEFAULT_TOL, Num, div, dot, is_exact, num_finite
+from .arith import DEFAULT_TOL, Num, div, dot, is_exact, lcd, num_finite
 from .errors import DimMismatch, IterationCapExceeded, ValidationError
 
 ITERATION_CAP = 10_000
@@ -291,16 +291,10 @@ class _Integral:
     """
 
     tol = 0
+    scale = staticmethod(lcd)  # the least common denominator of values
 
     def __init__(self):
         self.d = 1
-
-    @staticmethod
-    def scale(values):
-        """The least common denominator of ``values``."""
-        # a list, not a generator: unpacking a generator into math.lcm
-        # grew the heap with every call on CPython 3.11
-        return math.lcm(*[v.denominator for v in values])
 
     @staticmethod
     def num(x, scale):

@@ -21,8 +21,8 @@ from typing import Optional
 from .arith import Num, dot, ge, gt, resolve_tol, vscale, vsub
 from .cone import Cone, margin
 from .errors import DimMismatch
-from .imagesets import (ImageSet, _finite_margin,
-                        point_margin_with_multipliers, strong_membership_slack)
+from .imagesets import (ImageSet, point_margin, point_margin_with_witness,
+                        strong_membership_slack)
 
 LOWER = "lower"
 LOWER_STRONG = "lower_strong"
@@ -51,8 +51,7 @@ def set_margin(a: ImageSet, b: ImageSet, cone: Cone, tol=None) -> Num:
     """Largest eps with ``A lower-set-less (B - eps*e)``."""
     if a.m != b.m:
         raise DimMismatch("images of different dimension")
-    return min(point_margin_with_multipliers(pt, a, cone, tol)[0]
-               for pt in b.points)
+    return min(point_margin(pt, a, cone, tol) for pt in b.points)
 
 
 def set_relation(a: ImageSet, b: ImageSet, cone: Cone, kind: str,
@@ -69,7 +68,7 @@ def set_relation(a: ImageSet, b: ImageSet, cone: Cone, kind: str,
     if kind != LOWER_STRONG:
         return _margin_relation(
             a, b, cone, kind, eps, tol,
-            lambda t: point_margin_with_multipliers(t, a, cone, tol))
+            lambda t: point_margin_with_witness(t, a, cone, tol))
     witnesses = []
     for target in b.points:
         holds, point, lam = strong_membership_slack(target, a, cone, tol, eps)
@@ -83,21 +82,17 @@ def set_relation(a: ImageSet, b: ImageSet, cone: Cone, kind: str,
 def _margin_relation(a: ImageSet, b: ImageSet, cone: Cone, kind: str,
                      eps: Num, tol, margin_of):
     """``set_relation`` for ``lower`` and ``lower_strict`` at a resolved
-    tol; ``margin_of(target)`` is ``point_margin_with_multipliers`` of
-    ``target`` against a polytope A, or a stored copy of it."""
+    tol; ``margin_of(target)`` is ``point_margin_with_witness`` of
+    ``target`` against A, or a stored copy of it."""
     witnesses = []
     for target in b.points:
-        point = lam = None
-        if a.is_finite:  # the first point with the largest margin
-            mu, best = _finite_margin(target, a, cone)
-            point = a.points[best]
-        else:
-            mu, lam = margin_of(target)
+        mu, witness = margin_of(target)
         ok = gt(mu, eps, tol) if kind == LOWER_STRICT else ge(mu, eps, tol)
         if not ok:
             return False, RelationCertificate(False, kind, eps,
                                               failing_target=target)
-        witnesses.append(RelationWitness(target, point, lam))
+        witnesses.append(RelationWitness(target, witness, None) if a.is_finite
+                         else RelationWitness(target, None, witness))
     return True, RelationCertificate(True, kind, eps, tuple(witnesses))
 
 
@@ -113,7 +108,7 @@ def verify_certificate(a: ImageSet, b: ImageSet, cone: Cone,
             return False
         if cert.kind == LOWER_STRONG:
             return not strong_membership_slack(target, a, cone, tol, eps)[0]
-        mu, _ = point_margin_with_multipliers(target, a, cone, tol)
+        mu = point_margin(target, a, cone, tol)
         return not (gt(mu, eps, tol) if cert.kind == LOWER_STRICT
                     else ge(mu, eps, tol))
     targets = {tuple(w.target) for w in cert.witnesses}

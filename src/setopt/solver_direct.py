@@ -10,7 +10,7 @@ iff no x_i excludes it.  With S[i][k] the largest shift with
 
 One scan per candidate meets the first such x_i in index order and
 certifies the relation that excludes; the weak and type-one
-certificates are built from the point margins and multipliers that
+certificates are built from the point margins and witnesses that
 built S, with no second solve.  Quantifiers run over the whole decision
 list including the candidate itself, exactly as the solution concepts
 are defined.

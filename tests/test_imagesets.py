@@ -10,12 +10,14 @@ from setopt.arith import dot
 from setopt.cone import margin, validate_cone
 from setopt.errors import EmptyImage, ValidationError
 from setopt.imagesets import (_in_hull, covering_number_internal,
-                              domination_check, finite_set, hausdorff,
-                              hausdorff_sq,
+                              dominators, domination_check, finite_set,
+                              hausdorff, hausdorff_sq,
                               min_elements, minimal_vertices, point_margin,
-                              point_margin_with_multipliers, polytope,
+                              point_margin_with_multipliers,
+                              point_margin_with_witness, polytope,
                               prune_to_extreme, strong_membership_slack)
 from setopt.lp import LinearProgram, lp_maximize
+from setopt.setrelations import RELATION_KINDS, set_relation
 
 
 def pts(*coords):
@@ -461,3 +463,47 @@ def test_image_under_two_cones_answers_as_fresh_images(orthant, skew_cone):
     for cone in (orthant, skew_cone, orthant, skew_cone):
         assert answers(image, cone) == answers(polytope(verts), cone)
         assert image._products[0] is cone
+
+
+def test_exact_ints_and_float_margins_answer_alike(orthant, skew_cone,
+                                                   orthant_float):
+    # integer points under cones whose a_j.e are powers of two make every
+    # float margin exact, so the float regime at tol 0.0 must answer as
+    # the int rows of the exact regime at tol 0, duplicates included
+    skew_float = validate_cone([[0.0, 1.0], [1.0, -1.0]], [1.0, 0.5])
+    rng = random.Random(16)
+
+    def both(coords):
+        return (finite_set([tuple(map(F, p)) for p in coords]),
+                finite_set([tuple(map(float, p)) for p in coords]))
+
+    def draw(size):
+        coords = [(rng.randint(-3, 3), rng.randint(-3, 3))
+                  for _ in range(size)]
+        return coords + rng.sample(coords, rng.randint(0, size))
+
+    cases = 0
+    for cone, fcone in ((orthant, orthant_float), (skew_cone, skew_float)):
+        for _ in range(15):
+            (a, fa), (b, fb) = both(draw(rng.randint(1, 5))), \
+                both(draw(rng.randint(1, 3)))
+            for weak in (False, True):
+                assert min_elements(a, cone, weak, 0) == \
+                    min_elements(fa, fcone, weak, 0.0)
+            halves = [(F(rng.randint(-7, 7), 2), F(rng.randint(-7, 7), 2))
+                      for _ in range(3)]
+            for q in [*a.points, *b.points, *halves]:
+                fq = tuple(map(float, q))
+                assert point_margin_with_witness(q, a, cone, 0) == \
+                    point_margin_with_witness(fq, fa, fcone, 0.0)
+                for eps, strict, distinct in itertools.product(
+                        (0, F(1, 2)), (False, True), (False, True)):
+                    assert list(dominators(a, cone, q, eps, 0, strict,
+                                           distinct)) == \
+                        list(dominators(fa, fcone, fq, float(eps), 0.0,
+                                        strict, distinct))
+                    cases += 1
+            for kind, eps in itertools.product(RELATION_KINDS, (0, F(1, 2))):
+                assert set_relation(a, b, cone, kind, eps, 0) == \
+                    set_relation(fa, fb, fcone, kind, float(eps), 0.0)
+    assert cases > 1000

@@ -1,8 +1,11 @@
+import ast
+import inspect
 import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction as F
 
+from setopt import imagesets, setrelations
 from setopt.imagesets import finite_set, polytope
 from setopt.instance import make_example
 from setopt.setrelations import (LOWER, LOWER_STRICT, LOWER_STRONG,
@@ -228,3 +231,17 @@ def test_checker_rejects_each_corruption(orthant):
     shifted = witness(multipliers=lam({(2, 0): F(1, 2), (0, 2): F(1, 2)}))
     assert check(pa, LOWER, shifted)
     assert not check(pa, LOWER_STRONG, shifted)
+
+
+def test_setrelations_uses_no_private_name_of_imagesets():
+    # finite point margins and their witnesses come from one public
+    # answer of imagesets, not from a second scan of its own
+    tree = ast.parse(inspect.getsource(setrelations))
+    used = ({a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+             for a in n.names} |
+            {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} |
+            {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+    private = {name for scope in (imagesets, imagesets.ImageSet)
+               for name in vars(scope)
+               if name.startswith("_") and not name.startswith("__")}
+    assert private and not used & private

@@ -305,7 +305,27 @@ def test_brute_force_reads_no_cache():
     names = ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} |
              {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
     assert not names & {"_scaled", "_target", "_least", "_cone_products",
-                        "point_margin"}
+                        "point_margin", "_Margins", "margins", "positions",
+                        "bars", "point_margin_with_witness", "dominators"}
+
+
+def test_empty_candidate_pool_is_refused():
+    # within tol 1 each point of a lies one-sidedly below the next, a
+    # cycle, so min_elements keeps none of them; no search may answer
+    # from that empty pool (the oracle answers ('a',))
+    cone = validate_cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1])
+    a = finite_set([(F(0), F(0), F(0)), (F(11, 10), F(-11, 20), F(-11, 20)),
+                    (F(11, 20), F(11, 20), F(-11, 10))])
+    b = finite_set([(F(5), F(5), F(5))])
+    inst = build_instance(cone, [Decision("a", (F(0),)),
+                                 Decision("b", (F(1),))], [a, b], exact=True)
+    assert imagesets.min_elements(a, cone, tol=1) == ()
+    for ask in (lambda: membership_vp(inst, 2, 0, VP_WEAK, tol=1),
+                lambda: minimal_p(inst, "a", 0, VP_WEAK, tol=1)):
+        with pytest.raises(ValidationError, match=(
+                "^decision 'a' has an empty candidate pool at tol 1$")):
+            ask()
+    assert brute_force_vp(inst, 2, 0, VP_WEAK, tol=1).members == ("a",)
 
 
 def test_vectorizer_uses_no_private_name_of_imagesets():

@@ -66,6 +66,37 @@ def test_suite_reports_injected_vertex_reduction_fault(monkeypatch):
     assert all(len(ce["pair"]) == 2 for ce in failing.values())
 
 
+def test_suite_reports_faults_in_pools_and_dominance(monkeypatch):
+    # each fault is patched where its consumers bind the name: Instance
+    # pools through instance.min_elements, min_elements and the strong
+    # slack through imagesets.dominators, the vectorizer's witnesses
+    # through its own binding
+    real_min = setopt.instance.min_elements
+    real_dom = setopt.imagesets.dominators
+
+    def drop_last(image, cone, weak=False, tol=None):
+        # a one-point pool is kept: an empty one is refused outright
+        kept = real_min(image, cone, weak, tol)
+        return kept[:-1] if len(kept) > 1 else kept
+
+    def ignore_strict(image, cone, q, eps, tol, strict=False,
+                      distinct=False):
+        return real_dom(image, cone, q, eps, tol, distinct=distinct)
+
+    faults = {
+        "vp_oracle_equivalence":
+            [(setopt.instance, "min_elements", drop_last)],
+        "images_minimality_and_domination":
+            [(setopt.imagesets, "dominators", ignore_strict),
+             (setopt.vectorizer, "dominators", ignore_strict)]}
+    for law, patches in faults.items():
+        with monkeypatch.context() as m:
+            for module, name, fault in patches:
+                m.setattr(module, name, fault)
+            report = run_suite(_small_config())
+        assert law in {c.name for c in report.hard_failures}
+
+
 def test_empty_eps_grid_runs_zero_shift_checks_only():
     config = SuiteConfig(seeds=(11,), polytope_seeds=(3,), eps_grid=())
     report = run_suite(config)
