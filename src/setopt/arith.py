@@ -2,8 +2,9 @@
 
 Two numeric regimes coexist.  In float mode, comparisons are guarded by
 an absolute tolerance (``DEFAULT_TOL``).  In exact mode every quantity
-is a ``fractions.Fraction`` and the tolerance is the integer ``0``, so
-every threshold comparison is decided exactly.  Vectors are plain
+is rational and the tolerance is the integer ``0``, so every threshold
+comparison is decided exactly.  A question is exact only when its cone,
+its images and its own numbers are all rational.  Vectors are plain
 tuples; both regimes flow through the same code paths.
 """
 
@@ -33,7 +34,9 @@ def div(a: Num, b: Num) -> Num:
 
 
 def resolve_tol(tol, *samples: Num) -> Num:
-    """Default tolerance: 0 when all sampled numbers are rational."""
+    """``tol``, else 0 when all ``samples`` are rational and ``DEFAULT_TOL``
+    otherwise.  A question is exact only when its cone, its images and its
+    own numbers are all rational: it resolves by ``imagesets.question_tol``."""
     if tol is not None:
         return tol
     return 0 if all(is_exact(s) for s in samples) else DEFAULT_TOL

@@ -70,19 +70,20 @@ def _cmd_solve(args) -> int:
     if args.out:
         _write_json(report.to_json_dict(), args.out)
     if args.csv:
-        _write_csv_solve(inst, report, args.csv)
+        thresholds = report.thresholds or {}
+        _write_csv(args.csv, inst, report, "concept,epsilon,threshold",
+                   lambda label: f"{report.concept},{format_number(eps)},"
+                   f"{format_number(thresholds.get(label, ''))}")
     return 0
 
 
-def _write_csv_solve(inst, report, path) -> None:
-    lines = ["label,member,concept,epsilon,threshold"]
+def _write_csv(path, inst, report, columns, cells) -> None:
+    """One line per decision: its label, 1 or 0 for membership in
+    ``report``, then ``cells(label)`` under the header ``columns``."""
     members = set(report.members)
-    for dec in inst.decisions:
-        thr = ""
-        if report.thresholds is not None:
-            thr = str(format_number(report.thresholds[dec.label]))
-        lines.append(f"{dec.label},{int(dec.label in members)},"
-                     f"{report.concept},{format_number(report.epsilon)},{thr}")
+    lines = [f"label,member,{columns}"] + [
+        f"{dec.label},{int(dec.label in members)},{cells(dec.label)}"
+        for dec in inst.decisions]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -99,13 +100,8 @@ def _cmd_vectorize(args) -> int:
     if args.out:
         _write_json(report.to_json_dict(), args.out)
     if args.csv:
-        lines = ["label,member,kind,p,epsilon"]
-        members = set(report.members)
-        for dec in inst.decisions:
-            lines.append(f"{dec.label},{int(dec.label in members)},"
-                         f"{report.kind},{report.p},{format_number(report.epsilon)}")
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(args.csv, inst, report, "kind,p,epsilon",
+                   lambda _: f"{report.kind},{report.p},{format_number(eps)}")
     return 0
 
 

@@ -16,7 +16,8 @@ products ``a_j.v`` of its vertices (``lp``); a target changes only
 their right-hand side ``-A.t``.  An image keeps this data for the last
 cone asked.  Extreme-point pruning sweeps the hull (Andrew's monotone
 chain) for exact planar vertex lists and solves one linear program per
-vertex otherwise.
+vertex otherwise.  ``question_tol`` resolves every question's default
+tolerance, over its cone, its images and its own numbers.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import sub
 
 from .arith import (Num, Vec, dist_sq, dot, ge, gt, ints_over, is_exact, lcd,
@@ -70,6 +72,15 @@ def _checked(points) -> tuple:
             if not num_finite(v):
                 raise ValidationError("non-finite coordinate in image set")
     return pts
+
+
+def question_tol(tol, cone: Cone, images, *numbers) -> Num:
+    """``tol``, else 0 when every entry of ``cone``, of ``images`` and of
+    the question's own ``numbers`` is rational, else ``DEFAULT_TOL``."""
+    if tol is not None:
+        return tol
+    return resolve_tol(None, *cone.e, *chain(*cone.rows), *numbers,
+                       *(v for img in images for p in img.points for v in p))
 
 
 def finite_set(points) -> ImageSet:
@@ -136,7 +147,7 @@ def min_elements(image: ImageSet, cone: Cone, weak: bool = False,
     """
     if not image.is_finite:
         raise ValidationError("min_elements is defined for finite images only")
-    tol = resolve_tol(tol, *(v for p in image.points for v in p))
+    tol = question_tol(tol, cone, (image,))
     # each distinct point, in image order, and an index it has
     index = dict(zip(image.points, range(len(image.points))))
 
@@ -204,9 +215,7 @@ def strong_membership_slack(target: Vec, image: ImageSet, cone: Cone,
 
     Returns ``(holds, witness_point, multipliers)``.
     """
-    if tol is None:
-        tol = resolve_tol(None, eps, *target,
-                          *(v for p in image.points for v in p))
+    tol = question_tol(tol, cone, (image,), eps, *target)
     if image.is_finite:
         a = next(dominators(image, cone, target, eps, tol, distinct=True),
                  None)
@@ -403,9 +412,7 @@ def _exact_cover(cover, n, incumbent):
     """Branch-and-bound minimum set cover; branches on the element with
     the fewest candidate centers."""
     best = list(incumbent)
-
-    def covers_of(elem, uncovered):
-        return [i for i in range(n) if elem in cover[i]]
+    covers = [[i for i in range(n) if elem in cover[i]] for elem in range(n)]
 
     def search(uncovered, chosen):
         nonlocal best
@@ -417,8 +424,8 @@ def _exact_cover(cover, n, incumbent):
         lower = (len(uncovered) + max_gain - 1) // max_gain
         if len(chosen) + lower >= len(best):
             return
-        elem = min(uncovered, key=lambda u: (len(covers_of(u, uncovered)), u))
-        for i in covers_of(elem, uncovered):
+        elem = min(uncovered, key=lambda u: (len(covers[u]), u))
+        for i in covers[elem]:
             search(uncovered - cover[i], chosen + [i])
 
     search(frozenset(range(n)), [])
@@ -488,7 +495,7 @@ def domination_check(image: ImageSet, cone: Cone, tol=None) -> bool:
     Must hold for every nonempty finite image under a pointed closed
     convex cone; exposed as a test oracle.
     """
-    tol = resolve_tol(tol, *(v for p in image.points for v in p))
+    tol = question_tol(tol, cone, (image,))
     mins = min_elements(image, cone, weak=False, tol=tol)
     if not mins:
         return False

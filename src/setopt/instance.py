@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arith import Num, div, dot, format_vector, parse_number, resolve_tol
+from .arith import Num, div, dot, format_vector, parse_number
 from .cone import Cone, validate_cone
 from .errors import (DimMismatch, DuplicateLabel, EmptyImage, ParseError,
                      ValidationError)
@@ -69,12 +69,6 @@ class Instance:
 
     def image_of(self, label: str) -> ImageSet:
         return self.images[self.index_of(label)]
-
-    def resolve_tol(self, tol, eps: Num = 0) -> Num:
-        """``tol`` itself, else 0 when eps and every image coordinate
-        are rational and the float default otherwise."""
-        return resolve_tol(tol, eps, *(v for img in self.images
-                                       for p in img.points for v in p))
 
     def _tables(self, tol):
         """[point margins per image, pools, set margins] at tol."""

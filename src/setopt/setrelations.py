@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import Num, dot, ge, gt, resolve_tol, vscale, vsub
+from .arith import Num, dot, ge, gt, vscale, vsub
 from .cone import Cone, margin
-from .errors import DimMismatch
+from .errors import DimMismatch, ValidationError
 from .imagesets import (ImageSet, point_margin, point_margin_with_witness,
-                        strong_membership_slack)
+                        question_tol, strong_membership_slack)
 
 LOWER = "lower"
 LOWER_STRONG = "lower_strong"
@@ -58,13 +58,12 @@ def set_relation(a: ImageSet, b: ImageSet, cone: Cone, kind: str,
                  eps: Num = 0, tol=None):
     """Decide the eps-shifted relation; returns ``(holds, certificate)``."""
     if kind not in RELATION_KINDS:
-        raise ValueError(f"unknown relation kind {kind!r}")
+        raise ValidationError(f"unknown relation kind {kind!r}")
     if a.m != b.m:
         raise DimMismatch("images of different dimension")
     if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    tol = resolve_tol(tol, eps, *(v for p in a.points for v in p),
-                      *(v for p in b.points for v in p))
+        raise ValidationError("eps must be nonnegative")
+    tol = question_tol(tol, cone, (a, b), eps)
     if kind != LOWER_STRONG:
         return _margin_relation(
             a, b, cone, kind, eps, tol,
@@ -100,8 +99,7 @@ def verify_certificate(a: ImageSet, b: ImageSet, cone: Cone,
                        cert: RelationCertificate, tol=None) -> bool:
     """Re-check a certificate from its raw ingredients only."""
     eps = cert.epsilon
-    tol = resolve_tol(tol, eps, *(v for p in a.points for v in p),
-                      *(v for p in b.points for v in p))
+    tol = question_tol(tol, cone, (a, b), eps)
     if not cert.holds:
         target = cert.failing_target
         if target is None or tuple(target) not in set(b.points):

@@ -23,6 +23,7 @@ from typing import Optional
 
 from .arith import Num, format_number, ge, gt
 from .errors import ValidationError
+from .imagesets import question_tol
 from .instance import Instance
 from .setrelations import (LOWER, LOWER_STRICT, LOWER_STRONG,
                            RelationCertificate, _margin_relation, set_relation)
@@ -75,7 +76,7 @@ class SolutionReport:
 def weak_threshold(inst: Instance, tol=None) -> dict:
     """Per label the exact shift at which weak membership begins:
     ``x in eps-weak members iff eps >= threshold(x)``."""
-    mat = inst.set_margins(inst.resolve_tol(tol))
+    mat = inst.set_margins(question_tol(tol, inst.cone, inst.images))
     k = len(inst.decisions)
     return {inst.decisions[j].label: max(mat[i][j] for i in range(k))
             for j in range(k)}
@@ -87,7 +88,7 @@ def solve_direct(inst: Instance, concept: str, eps: Num = 0,
         raise ValidationError(f"unknown concept {concept!r}")
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
-    tol = inst.resolve_tol(tol, eps)
+    tol = question_tol(tol, inst.cone, inst.images, eps)
     labels, images, cone = inst.labels, inst.images, inst.cone
     k = len(labels)
     members, certificates = [], {}

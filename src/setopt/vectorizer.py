@@ -41,11 +41,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arith import Num, div, format_number, format_vector, ge, gt, \
-    is_exact, veq, vscale, vsub
+from .arith import Num, div, format_number, format_vector, ge, gt, veq, \
+    vscale, vsub
 from .cone import DEFAULT_GAMMA, in_dual_cone, margin, r_epsilon_sq
 from .errors import CapExceeded, ValidationError, WeightNotInDualCone
-from .imagesets import (cover_by_sq_radius, dominators,
+from .imagesets import (cover_by_sq_radius, dominators, question_tol,
                         strong_membership_slack)
 from .instance import Instance
 from .solver_direct import WEAK as DIRECT_WEAK
@@ -156,7 +156,7 @@ def candidate_pool(inst: Instance, label: str, p: Optional[int] = None,
     are complete only once the budget reaches the pool size.
     """
     idx = inst.index_of(label)
-    pool = inst.pool(idx, inst.resolve_tol(tol))
+    pool = inst.pool(idx, question_tol(tol, inst.cone, inst.images))
     complete = inst.images[idx].is_finite or (p is not None and p >= len(pool))
     return PoolResult(pool, complete)
 
@@ -390,7 +390,7 @@ def membership_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
         raise ValidationError("budget p must be at least 1")
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
-    tol = inst.resolve_tol(tol, eps)
+    tol = question_tol(tol, inst.cone, inst.images, eps)
     members = []
     certificates = {}
     incomplete = []
@@ -419,7 +419,7 @@ def minimal_p(inst: Instance, label: str, eps: Num = 0, kind: str = VP_WEAK,
         raise ValidationError(f"unknown vectorization kind {kind!r}")
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
-    tol = inst.resolve_tol(tol, eps)
+    tol = question_tol(tol, inst.cone, inst.images, eps)
     idx = inst.index_of(label)
     pool = inst.pool(idx, tol)
     incomplete = not inst.images[idx].is_finite
@@ -456,7 +456,7 @@ def covering_p_bound(inst: Instance, label: str, eps: Num,
     img = inst.image_of(label)
     if not img.is_finite:
         raise ValidationError("covering budgets need a finite image")
-    tol = inst.resolve_tol(tol, eps)
+    tol = question_tol(tol, inst.cone, inst.images, eps, gamma)
     radius_sq = div(r_epsilon_sq(inst.cone, eps, gamma), 4)
     return cover_by_sq_radius(img.points, radius_sq, tol=tol).count
 
@@ -497,7 +497,8 @@ def solve_weighted_sum(inst: Instance, p: int, weights, tol=None):
         raise ValidationError(f"expected {p} weight vectors, got {len(weights)}")
     if all(all(v == 0 for v in w) for w in weights):
         raise ValidationError("weights must not all be zero")
-    tol = inst.resolve_tol(tol)
+    tol = question_tol(tol, inst.cone, inst.images,
+                       *itertools.chain(*weights))
     for w in weights:
         if len(w) != inst.m:
             raise ValidationError("weight dimension differs from image dimension")
@@ -550,7 +551,7 @@ def brute_force_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
         raise ValidationError("budget p must be at least 1")
     if any(not img.is_finite for img in inst.images):
         raise ValidationError("the brute-force oracle needs finite images")
-    tol = inst.resolve_tol(tol, eps)
+    tol = question_tol(tol, inst.cone, inst.images, eps)
     total = sum(len(img.points) ** p for img in inst.images)
     if total > TUPLE_CAP:
         raise CapExceeded(f"{total} candidate tuples exceed cap {TUPLE_CAP}")
@@ -558,8 +559,7 @@ def brute_force_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
     cone = inst.cone
     images = [img.points for img in inst.images]
     gauge, unit, bar = (lambda y, q: margin(y, q, cone)), cone.e, eps
-    if tol == 0 and all(map(is_exact, (eps, *cone.e, *itertools.chain(
-            *cone.rows, *itertools.chain(*images))))):
+    if tol == 0 and question_tol(None, cone, inst.images, eps) == 0:
         z = {y: [sum(Fraction(a) * v for a, v in zip(row, y)) / de
                  for row, de in zip(cone.rows, cone.row_e)]
              for y in itertools.chain(*images)}

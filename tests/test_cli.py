@@ -132,13 +132,27 @@ def test_instance_files_byte_identical(tmp_path):
 def test_csv_output(tmp_path):
     inst_path = tmp_path / "i.json"
     csv_path = tmp_path / "r.csv"
-    run(["example", "strict_min", "--g", "3", "-o", str(inst_path),
+    run(["example", "random_finite", "--seed", "3", "-o", str(inst_path),
          "--exact"])
-    run(["solve", "-i", str(inst_path), "--exact", "--concept", "weak",
-         "--csv", str(csv_path)])
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "label,member,concept,epsilon,threshold"
-    assert len(lines) == 4  # header plus one row per decision
+    common = ["-i", str(inst_path), "--exact", "--eps", "1/2",
+              "--csv", str(csv_path)]
+    pinned = (
+        (["solve"],
+         b"label,member,concept,epsilon,threshold\n0,1,weak,1/2,0\n"
+         b"1,1,weak,1/2,0\n2,0,weak,1/2,1\n3,1,weak,1/2,0\n"
+         b"4,0,weak,1/2,1\n5,1,weak,1/2,0\n"),
+        (["solve", "--concept", "type1"],
+         b"label,member,concept,epsilon,threshold\n0,1,type1,1/2,\n"
+         b"1,1,type1,1/2,\n2,0,type1,1/2,\n3,1,type1,1/2,\n"
+         b"4,0,type1,1/2,\n5,1,type1,1/2,\n"),
+        (["vectorize", "--p", "2", "--kind", "min"],
+         b"label,member,kind,p,epsilon\n0,1,min,2,1/2\n1,1,min,2,1/2\n"
+         b"2,0,min,2,1/2\n3,1,min,2,1/2\n4,0,min,2,1/2\n"
+         b"5,1,min,2,1/2\n"),
+    )
+    for verb, expected in pinned:
+        assert run(verb + common) == 0
+        assert csv_path.read_bytes() == expected
 
 
 def test_usage_errors_exit_two(tmp_path):

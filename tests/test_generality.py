@@ -5,13 +5,14 @@ import random
 from fractions import Fraction as F
 
 from setopt.cone import margin, validate_cone
-from setopt.imagesets import finite_set, polytope
+from setopt.imagesets import finite_set, min_elements, polytope
 from setopt.instance import Decision, build_instance, make_example
-from setopt.setrelations import LOWER, set_margin, set_relation
-from setopt.solver_direct import (TYPE_ONE, TYPE_TWO, WEAK, solve_direct,
-                                  weak_threshold)
-from setopt.vectorizer import (VP_MIN, VP_WEAK, brute_force_vp, membership_vp,
-                               minimal_p)
+from setopt.setrelations import (LOWER, RELATION_KINDS, set_margin,
+                                 set_relation)
+from setopt.solver_direct import (CONCEPTS, TYPE_ONE, TYPE_TWO, WEAK,
+                                  solve_direct, weak_threshold)
+from setopt.vectorizer import (VP_KINDS, VP_MIN, VP_WEAK, brute_force_vp,
+                               membership_vp, minimal_p, solve_weighted_sum)
 
 
 def _random_instance(cone, rng, count=4, s_max=3, dim=2):
@@ -126,3 +127,44 @@ def test_float_exact_mode_agreement_on_random_instances():
             for p in (1, 2):
                 assert membership_vp(fl, p, eps_f, VP_WEAK).members == \
                     membership_vp(ex, p, eps_e, VP_WEAK).members
+
+
+def test_float_cone_over_rational_points_resolves_the_float_tolerance():
+    # the same rational points under a float cone and under its rational
+    # copy: the float cone makes every question float, so tol=None must
+    # resolve to the float default and the verdicts must agree
+    rows = (("1/10", "7/10"), ("3/10", "-1/5"))
+    cone_f = validate_cone([[float(F(v)) for v in r] for r in rows],
+                           [1.0, 1.0])
+    cone_x = validate_cone([[F(v) for v in r] for r in rows], [F(1), F(1)])
+    decisions = [Decision(str(i), (F(i),)) for i in range(5)]
+    for seed in range(60):
+        rng = random.Random(seed)
+        images = [finite_set([tuple(F(rng.randint(-6, 6), rng.randint(1, 3))
+                                    for _ in range(2))
+                              for _ in range(rng.randint(1, 4))])
+                  for _ in range(5)]
+        fl, ex = (build_instance(cone, decisions, images, exact=exact)
+                  for cone, exact in ((cone_f, False), (cone_x, True)))
+        for concept in CONCEPTS:
+            assert solve_direct(fl, concept).members == \
+                solve_direct(ex, concept).members, seed
+        for kind in VP_KINDS:
+            for p in (1, 2):
+                assert membership_vp(fl, p, 0, kind).members == \
+                    membership_vp(ex, p, 0, kind).members, seed
+        for img in images:
+            assert min_elements(img, cone_f) == min_elements(img, cone_x), seed
+        for a in images:
+            for b in images:
+                for kind in RELATION_KINDS:
+                    assert set_relation(a, b, cone_f, kind)[0] == \
+                        set_relation(a, b, cone_x, kind)[0], seed
+
+
+def test_float_weights_resolve_the_float_tolerance():
+    inst = make_example("random_finite", {"seed": 2, "count": 6}, exact=True)
+    labels = [s.label for s in solve_weighted_sum(inst, 1, [(F(1, 10),
+                                                             F(1, 5))])]
+    assert [s.label for s in solve_weighted_sum(inst, 1, [(0.1, 0.2)])] == \
+        labels

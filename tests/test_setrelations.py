@@ -5,7 +5,10 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 
+import pytest
+
 from setopt import imagesets, setrelations
+from setopt.errors import ValidationError
 from setopt.imagesets import finite_set, polytope
 from setopt.instance import make_example
 from setopt.setrelations import (LOWER, LOWER_STRICT, LOWER_STRONG,
@@ -61,6 +64,14 @@ def test_strong_relation_finite(orthant):
     holds, cert = set_relation(a, b, orthant, LOWER_STRONG, F(1))
     assert not holds and cert.failing_target is not None
     assert verify_certificate(a, b, orthant, cert)
+
+
+def test_bad_arguments_raise_validation_error(orthant):
+    a = finite_set(pts((0, 0)))
+    with pytest.raises(ValidationError, match="unknown relation kind"):
+        set_relation(a, a, orthant, "upper")
+    with pytest.raises(ValidationError, match="nonnegative"):
+        set_relation(a, a, orthant, LOWER, F(-1))
 
 
 def test_strict_threshold_law(orthant, skew_cone):

@@ -454,6 +454,29 @@ def test_weak_certificates_reverify(mfdvp):
     _check_member_certificate(fan, report, F(0))
 
 
+def test_weak_witness_skips_a_tie_at_the_first_dominator(monkeypatch):
+    # b's first point ties with a's point (margin 0) and only its second
+    # dominates strictly, so the weak-kind witness must be the second
+    orthant = validate_cone([[F(1), F(0)], [F(0), F(1)]], [F(1), F(1)])
+    inst = build_instance(orthant, [("a", (F(0),)), ("b", (F(1),))],
+                          [finite_set([(F(0), F(0))]),
+                           finite_set([(F(0), F(-1)), (F(-1), F(-1))])],
+                          exact=True)
+    report = membership_vp(inst, 1, 0, VP_WEAK)
+    cert = report.certificates["a"]
+    assert not cert.member and cert.dominated_by == "b"
+    assert cert.witnesses[0].point == (F(-1), F(-1))
+    _check_excluded_certificate(inst, report, 0)
+    # a dominators that ignores strict picks the tie, which is rejected
+    dominators = vectorizer.dominators
+    monkeypatch.setattr(vectorizer, "dominators",
+                        lambda *args: dominators(*args[:5]))
+    report = membership_vp(inst, 1, 0, VP_WEAK)
+    assert report.certificates["a"].witnesses[0].point == (F(0), F(-1))
+    with pytest.raises(AssertionError):
+        _check_excluded_certificate(inst, report, 0)
+
+
 def test_minimal_p_never_at_positive_shift():
     for seed in (0, 4):
         inst = make_example("random_finite", {"seed": seed}, exact=True)
