@@ -454,10 +454,10 @@ def test_weak_certificates_reverify(mfdvp):
     _check_member_certificate(fan, report, F(0))
 
 
-def test_weak_witness_skips_a_tie_at_the_first_dominator(monkeypatch):
+def test_weak_witness_skips_a_tie_at_the_first_dominator(orthant,
+                                                         monkeypatch):
     # b's first point ties with a's point (margin 0) and only its second
     # dominates strictly, so the weak-kind witness must be the second
-    orthant = validate_cone([[F(1), F(0)], [F(0), F(1)]], [F(1), F(1)])
     inst = build_instance(orthant, [("a", (F(0),)), ("b", (F(1),))],
                           [finite_set([(F(0), F(0))]),
                            finite_set([(F(0), F(-1)), (F(-1), F(-1))])],
