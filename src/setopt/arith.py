@@ -110,12 +110,15 @@ def format_vector(v: Vec) -> list:
 
 
 
+# tuples from lists, not generators: a tuple built from a generator is
+# resized once filled, and the freed blocks pile up in CPython's tuple
+# free list, which tracemalloc counts until a full collection
 def vsub(u: Vec, v: Vec) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple([a - b for a, b in zip(u, v)])
 
 
 def vscale(c: Num, v: Vec) -> tuple:
-    return tuple(c * x for x in v)
+    return tuple([c * x for x in v])
 
 
 def dot(u: Vec, v: Vec) -> Num:

@@ -150,17 +150,18 @@ def min_elements(image: ImageSet, cone: Cone, weak: bool = False,
     tol = question_tol(tol, cone, (image,))
     # each distinct point, in image order, and an index it has
     index = dict(zip(image.points, range(len(image.points))))
-
-    def below(i, strict=False):  # the points within tol below point i
-        return dominators(image, cone, i, 0, tol, strict)
     if weak:
-        return tuple(p for p, i in index.items() if not any(below(i, True)))
+        return tuple(p for p, i in index.items()
+                     if not any(dominators(image, cone, i, 0, tol, True)))
+    # the points within tol below each distinct point, one scan each
+    below = {p: list(dominators(image, cone, i, 0, tol))
+             for p, i in index.items()}
     # within tol of each other, p and q each lie below the other, so p
     # drops only below a q it does not lie under in turn (at tol 0 any
     # distinct q below p, as K is pointed); a q strictly below p never
     # has p below it, since margin(p, q) <= -margin(q, p)
-    return tuple(p for p, i in index.items()
-                 if all(q == p or p in below(index[q]) for q in below(i)))
+    return tuple(p for p in index
+                 if all(q == p or p in below[q] for q in below[p]))
 
 
 def point_margin(b: Vec, image: ImageSet, cone: Cone, tol=None) -> Num:

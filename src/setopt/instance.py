@@ -18,14 +18,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arith import Num, div, dot, format_vector, parse_number
+from .arith import (Num, div, dot, format_vector, ge, is_exact,
+                    parse_number, veq, vscale, vsub)
 from .cone import Cone, validate_cone
 from .errors import (DimMismatch, DuplicateLabel, EmptyImage, ParseError,
                      ValidationError)
 from .imagesets import (FINITE, POLYTOPE, ImageSet, cover_by_sq_radius,
                         finite_set, hausdorff_sq, min_elements,
-                        minimal_vertices, point_margin_with_witness,
-                        polytope, prune_to_extreme)
+                        point_margin_with_witness, polytope,
+                        prune_to_extreme, strong_membership_slack)
 
 EXAMPLE_NAMES = ("t_one", "strict_min", "cantor", "mfdvp", "mfdvp_polytope",
                  "random_finite", "convex_polyhedral")
@@ -44,8 +45,9 @@ class Instance:
     images: tuple               # ImageSet, ... parallel to decisions
     metadata: dict = field(default_factory=dict, hash=False)
     exact: bool = False
-    # tol -> [point margins per image, pools, set margins], made on first
-    # use; the fields they derive from are immutable, so none goes stale
+    # tol -> [point margins per image, pools, set margins, polytope strong
+    # slacks per image], made on first use; the fields they derive from
+    # are immutable, so none goes stale
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -71,20 +73,59 @@ class Instance:
         return self.images[self.index_of(label)]
 
     def _tables(self, tol):
-        """[point margins per image, pools, set margins] at tol."""
+        """[point margins per image, pools, set margins, strong slacks
+        per image] at tol."""
         tables = self._memo.get(tol)
         if tables is None:
-            tables = self._memo[tol] = [[{} for _ in self.images], {}, None]
+            tables = self._memo[tol] = [[{} for _ in self.images], {}, None,
+                                        [{} for _ in self.images]]
         return tables
 
     def point_margin(self, j: int, point: tuple, tol):
         """``point_margin_with_witness`` of ``point`` against image ``j``,
         computed once per tol."""
         margins = self._tables(tol)[0][j]
-        if point not in margins:
-            margins[point] = point_margin_with_witness(
+        got = margins.get(point)  # one lookup: hashing Fractions is slow
+        if got is None:
+            got = margins[point] = point_margin_with_witness(
                 point, self.images[j], self.cone, tol)
-        return margins[point]
+        return got
+
+    def strong_slack(self, j: int, point: tuple, eps, tol):
+        """``strong_membership_slack`` of ``point`` shifted by ``eps``
+        against image ``j``: a polytope's computed once per tol, a finite
+        image's scanned on each call (its witness is the first dominator
+        in image order, which no stored quantity names)."""
+        img = self.images[j]
+        if img.is_finite:
+            return strong_membership_slack(point, img, self.cone, tol, eps)
+        slacks = self._tables(tol)[3][j]
+        got = slacks.get((point, eps))
+        if got is None:
+            got = slacks[point, eps] = strong_membership_slack(
+                point, img, self.cone, tol, eps)
+        return got
+
+    def strongly_dominates(self, j: int, point: tuple, eps, tol) -> bool:
+        """Whether ``point - eps*e`` lies in image ``j`` plus K minus the
+        origin, i.e. ``strong_slack(j, point, eps, tol)[0]``.  A finite
+        image reads it off the stored point margin ``(mu, w)``: false when
+        ``mu < eps`` within tol, true when ``w`` is not the shifted point,
+        and only at that tie does it scan.  In exact arithmetic (``mu``
+        rational, tol 0) ``w`` is the shifted point only if ``mu == eps``,
+        so the point is built only then."""
+        if not self.images[j].is_finite:
+            return self.strong_slack(j, point, eps, tol)[0]
+        mu, w = self.point_margin(j, point, tol)
+        if not ge(mu, eps, tol):
+            return False
+        if tol == 0 and is_exact(mu):
+            if mu != eps:
+                return True
+            eps = Fraction(eps)  # exact, as the kernel reads a float eps
+        if not veq(w, vsub(point, vscale(eps, self.cone.e)), tol):
+            return True
+        return self.strong_slack(j, point, eps, tol)[0]
 
     def set_margins(self, tol) -> list:
         """``S[i][k] = set_margin(F(x_i), F(x_k))``, computed once per tol."""
@@ -103,8 +144,9 @@ class Instance:
         if i not in pools:
             img = self.images[i]
             pools[i] = (min_elements(img, self.cone, weak=False, tol=tol)
-                        if img.is_finite
-                        else minimal_vertices(img, self.cone, tol))
+                        if img.is_finite else
+                        tuple(v for v in img.points
+                              if not self.strong_slack(i, v, 0, tol)[0]))
         if not pools[i]:
             raise ValidationError(f"decision {self.decisions[i].label!r} "
                                   f"has an empty candidate pool at tol {tol}")

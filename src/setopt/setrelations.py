@@ -64,13 +64,22 @@ def set_relation(a: ImageSet, b: ImageSet, cone: Cone, kind: str,
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
     tol = question_tol(tol, cone, (a, b), eps)
-    if kind != LOWER_STRONG:
-        return _margin_relation(
-            a, b, cone, kind, eps, tol,
-            lambda t: point_margin_with_witness(t, a, cone, tol))
+    if kind == LOWER_STRONG:
+        return _relation(
+            b, kind, eps,
+            lambda t: strong_membership_slack(t, a, cone, tol, eps))
+    return _margin_relation(
+        a, b, cone, kind, eps, tol,
+        lambda t: point_margin_with_witness(t, a, cone, tol))
+
+
+def _relation(b: ImageSet, kind: str, eps: Num, slack_of):
+    """``set_relation`` of the kind, from ``slack_of(target)``: for each
+    point of B, ``(holds, witness_point, multipliers)`` against A, as
+    ``strong_membership_slack`` returns them."""
     witnesses = []
     for target in b.points:
-        holds, point, lam = strong_membership_slack(target, a, cone, tol, eps)
+        holds, point, lam = slack_of(target)
         if not holds:
             return False, RelationCertificate(False, kind, eps,
                                               failing_target=target)
@@ -83,16 +92,11 @@ def _margin_relation(a: ImageSet, b: ImageSet, cone: Cone, kind: str,
     """``set_relation`` for ``lower`` and ``lower_strict`` at a resolved
     tol; ``margin_of(target)`` is ``point_margin_with_witness`` of
     ``target`` against A, or a stored copy of it."""
-    witnesses = []
-    for target in b.points:
+    def slack_of(target):
         mu, witness = margin_of(target)
         ok = gt(mu, eps, tol) if kind == LOWER_STRICT else ge(mu, eps, tol)
-        if not ok:
-            return False, RelationCertificate(False, kind, eps,
-                                              failing_target=target)
-        witnesses.append(RelationWitness(target, witness, None) if a.is_finite
-                         else RelationWitness(target, None, witness))
-    return True, RelationCertificate(True, kind, eps, tuple(witnesses))
+        return (ok, witness, None) if a.is_finite else (ok, None, witness)
+    return _relation(b, kind, eps, slack_of)
 
 
 def verify_certificate(a: ImageSet, b: ImageSet, cone: Cone,

@@ -6,12 +6,16 @@ iff no x_i excludes it.  With S[i][k] the largest shift with
 
 * weak:     S[i][k] > eps (the strict relation holds),
 * type-one: S[i][k] >= eps and S[k][i] < -eps,
-* type-two: the strong relation holds at shift eps.
+* type-two: the strong relation holds at shift eps, each point of
+  F(x_k) read by ``Instance.strongly_dominates``: off the stored point
+  margin, with a scan of F(x_i) only at a tie with the shifted point.
 
 One scan per candidate meets the first such x_i in index order and
 certifies the relation that excludes; the weak and type-one
 certificates are built from the point margins and witnesses that
-built S, with no second solve.  Quantifiers run over the whole decision
+built S, with no second solve, and the type-two certificate of that
+one pair from ``Instance.strong_slack`` (a scan for a finite image, the
+stored program for a polytope).  Quantifiers run over the whole decision
 list including the candidate itself, exactly as the solution concepts
 are defined.
 """
@@ -26,7 +30,7 @@ from .errors import ValidationError
 from .imagesets import question_tol
 from .instance import Instance
 from .setrelations import (LOWER, LOWER_STRICT, LOWER_STRONG,
-                           RelationCertificate, _margin_relation, set_relation)
+                           RelationCertificate, _margin_relation, _relation)
 
 WEAK = "weak"
 TYPE_ONE = "type1"
@@ -89,7 +93,7 @@ def solve_direct(inst: Instance, concept: str, eps: Num = 0,
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
     tol = question_tol(tol, inst.cone, inst.images, eps)
-    labels, images, cone = inst.labels, inst.images, inst.cone
+    labels, images = inst.labels, inst.images
     k = len(labels)
     members, certificates = [], {}
     mat = inst.set_margins(tol) if concept != TYPE_TWO else None
@@ -100,16 +104,20 @@ def solve_direct(inst: Instance, concept: str, eps: Num = 0,
             elif concept == TYPE_ONE:
                 holds = ge(mat[i][j], eps, tol) and mat[j][i] < -eps - tol
             else:
-                holds, cert = set_relation(images[i], images[j], cone,
-                                           LOWER_STRONG, eps, tol)
+                holds = all(inst.strongly_dominates(i, t, eps, tol)
+                            for t in images[j].points)
             if holds:
                 break
         else:
             members.append(labels[j])
             continue
-        if concept != TYPE_TWO:  # from the margins that built S
+        if concept == TYPE_TWO:  # scans only for the excluding pair
+            _, cert = _relation(
+                images[j], LOWER_STRONG, eps,
+                lambda target: inst.strong_slack(i, target, eps, tol))
+        else:  # from the margins that built S
             _, cert = _margin_relation(
-                images[i], images[j], cone,
+                images[i], images[j], inst.cone,
                 LOWER_STRICT if concept == WEAK else LOWER, eps, tol,
                 lambda target: inst.point_margin(i, target, tol))
         certificates[labels[j]] = ExclusionCertificate(

@@ -27,9 +27,12 @@ Pools are the minimal elements of finite images (exact at every
 budget, any shift: replacing a tuple entry by a minimal point below it
 preserves survival) and the minimal vertices of polytope images (exact
 once the budget reaches the pool size; below that the verdict is sound
-but flagged incomplete).  Every finite image is tested against a shifted
-pool point by ``imagesets.dominators``, which at tol 0 compares integer
-cone coordinates.  ``brute_force_vp`` re-derives membership from the raw
+but flagged incomplete).  The tables read the instance's stored point
+margins; the min kind's distinct-witness bit comes from
+``Instance.strongly_dominates``, which scans a finite image only at a
+tie with the shifted point, and a certificate's witness from
+``imagesets.dominators``, which at tol 0 compares integer cone
+coordinates.  ``brute_force_vp`` re-derives membership from the raw
 definitions over full images, on a table of its own, as the oracle.
 """
 
@@ -45,8 +48,7 @@ from .arith import Num, div, format_number, format_vector, ge, gt, veq, \
     vscale, vsub
 from .cone import DEFAULT_GAMMA, in_dual_cone, margin, r_epsilon_sq
 from .errors import CapExceeded, ValidationError, WeightNotInDualCone
-from .imagesets import (cover_by_sq_radius, dominators, question_tol,
-                        strong_membership_slack)
+from .imagesets import cover_by_sq_radius, dominators, question_tol
 from .instance import Instance
 from .solver_direct import WEAK as DIRECT_WEAK
 from .solver_direct import solve_direct
@@ -244,8 +246,7 @@ def _witness(inst, j, q, eps, tol, strict=False,
     with ``distinct`` the strong-slack witness other than ``q - eps*e``."""
     img = inst.images[j]
     if distinct:
-        holds, point, lam = strong_membership_slack(q, img, inst.cone, tol,
-                                                    eps)
+        holds, point, lam = inst.strong_slack(j, q, eps, tol)
         if not holds:
             raise RuntimeError("internal: distinct witness requested but absent")
         return ComponentWitness(point=point, multipliers=lam)
@@ -263,15 +264,14 @@ def _table(inst, kind, pool, eps, tol):
     distinct from the shifted point; ``(dom, None)`` for the weak kind."""
     weak = kind == VP_WEAK
     dom, extra = [], []
-    for j, img in enumerate(inst.images):
+    for j in range(len(inst.images)):
         d = x = 0
         for i, q in enumerate(pool):
             mu = inst.point_margin(j, q, tol)[0]
             if gt(mu, eps, tol) if weak else ge(mu, eps, tol):
                 d |= 1 << i
                 if not weak:
-                    x |= strong_membership_slack(q, img, inst.cone, tol,
-                                                 eps)[0] << i
+                    x |= inst.strongly_dominates(j, q, eps, tol) << i
         dom.append(d)
         extra.append(x)
     return dom, None if weak else extra

@@ -94,6 +94,28 @@ def test_min_elements_keeps_points_within_tol_of_each_other(orthant):
             set(img.points)
 
 
+def test_min_elements_scans_each_distinct_point_once(orthant, orthant_float,
+                                                     monkeypatch):
+    # a dominated point's back test reads the list of points below its
+    # dominator, which was scanned already, not a second scan of it
+    targets = []
+
+    class Counted(setopt.imagesets._Margins):
+        def __init__(self, image, cone, q, tol):
+            targets.append(q)
+            super().__init__(image, cone, q, tol)
+
+    monkeypatch.setattr(setopt.imagesets, "_Margins", Counted)
+    chain = [(3, 3), (2, 2), (0, 4), (2, 2), (1, 1), (4, 0), (0, 4)]
+    for cone, cast in ((orthant, F), (orthant_float, float)):
+        img = finite_set([tuple(map(cast, p)) for p in chain])
+        for weak, tol in itertools.product((False, True), (None, cast(0.5))):
+            targets.clear()
+            kept = min_elements(img, cone, weak, tol)
+            assert len(targets) == len(set(targets)) == 5
+            assert kept == tuple(map(img.points.__getitem__, (2, 4, 5)))
+
+
 def test_min_elements_of_near_duplicates_never_empty(orthant, skew_cone,
                                                      orthant_float):
     rng = random.Random(12)

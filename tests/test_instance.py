@@ -1,18 +1,23 @@
 import gc
+import itertools
 import json
+import random
 import weakref
 from fractions import Fraction as F
 
 import pytest
 
+from setopt.cone import validate_cone
 from setopt.errors import (DimMismatch, DuplicateLabel, EmptyImage,
                            NotInterior, ParseError, ValidationError)
-from setopt.imagesets import finite_set, min_elements
+from setopt.imagesets import (finite_set, min_elements, question_tol,
+                              strong_membership_slack)
 from setopt.instance import (Decision, Instance, build_instance,
                              cantor_limit_point, cantor_point, discretize_map,
                              from_json_dict, halfplane_vertices,
                              instance_distance, instance_distance_sq, load,
                              make_example, save, to_json_dict)
+from setopt.setrelations import LOWER_STRONG, set_relation
 from setopt.solver_direct import TYPE_TWO, WEAK, solve_direct
 from setopt.vectorizer import VP_MIN, membership_vp
 
@@ -272,3 +277,71 @@ def test_polytope_programs_live_and_die_with_their_instance(tmp_path):
     del inst, kept
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
+
+
+def _tie_layouts(rng, cone, eps_grid):
+    """Two to four finite images of half-integer points, later images
+    repeating earlier points, some moved by ``-eps*e`` for an ``eps``
+    of the grid, so a competitor often holds a target's shifted point,
+    first or after another point of the same margin."""
+    images = []
+    for _ in range(rng.randint(2, 4)):
+        pts = []
+        for _ in range(rng.randint(1, 4)):
+            if images and rng.random() < 0.6:
+                q = rng.choice(rng.choice(images))
+                eps = rng.choice(eps_grid)
+                pts.append(tuple(v - eps * e for v, e in zip(q, cone.e)))
+            else:
+                pts.append(tuple(F(rng.randint(-4, 4), 2) for _ in cone.e))
+        images.append(pts)
+    return images
+
+
+def _assert_strong_bits_match_scans(inst, eps_grid, tols):
+    targets = {q for img in inst.images for q in img.points}
+    for tol, eps in itertools.product(tols, eps_grid):
+        tol = question_tol(tol, inst.cone, inst.images, eps)
+        for j, img in enumerate(inst.images):
+            for q in targets:
+                assert inst.strongly_dominates(j, q, eps, tol) == \
+                    strong_membership_slack(q, img, inst.cone, tol, eps)[0]
+        report = solve_direct(inst, TYPE_TWO, eps, tol)
+        members, certificates = [], {}
+        for b, label in zip(inst.images, inst.labels):
+            for a, by in zip(inst.images, inst.labels):
+                holds, cert = set_relation(a, b, inst.cone, LOWER_STRONG,
+                                           eps, tol)
+                if holds:
+                    certificates[label] = (by, cert)
+                    break
+            else:
+                members.append(label)
+        assert report.members == tuple(members)
+        assert {lab: (c.dominated_by, c.relation)
+                for lab, c in report.certificates.items()} == certificates
+
+
+def test_strong_bits_match_the_scan(orthant, skew_cone, orthant_float,
+                                    boundary_cases):
+    # the strong bit is read off the stored point margin and scans only
+    # at a tie with the shifted point; it must agree with the scan in
+    # both regimes, at an exact tol 0, a float tol 0 and a positive tol
+    skew_float = validate_cone([[0.0, 1.0], [1.0, -1.0]], [1.0, 0.5])
+    rng = random.Random(23)
+    for cone, cast in ((orthant, F), (skew_cone, F),
+                       (orthant_float, float), (skew_float, float)):
+        eps_grid = tuple(map(cast, (0, F(1, 2), 1)))
+        tols = (None, 0.0, cast(F(1, 1000)))
+        for _ in range(12):
+            images = _tie_layouts(rng, cone, eps_grid)
+            inst = build_instance(
+                cone, [(str(i), (cast(i),)) for i in range(len(images))],
+                [finite_set([tuple(map(cast, p)) for p in pts])
+                 for pts in images])
+            _assert_strong_bits_match_scans(inst, eps_grid, tols)
+    for cone, q, y, eps, tol in boundary_cases:
+        inst = build_instance(cone, [("a", (0.0,)), ("b", (1.0,))],
+                              [finite_set([q]), finite_set([y, q])])
+        _assert_strong_bits_match_scans(inst, (eps,), (tol, None, 0.0,
+                                                        1e-3))

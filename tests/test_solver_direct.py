@@ -8,8 +8,8 @@ from setopt.errors import ValidationError
 from setopt.imagesets import finite_set
 from setopt.instance import Decision, build_instance, make_example
 from setopt.lp import lp_maximize
-from setopt.setrelations import (LOWER, LOWER_STRICT, set_relation,
-                                 verify_certificate)
+from setopt.setrelations import (LOWER, LOWER_STRICT, LOWER_STRONG,
+                                 set_relation, verify_certificate)
 from setopt.solver_direct import (TYPE_ONE, TYPE_TWO, WEAK, solve_direct,
                                   weak_threshold)
 
@@ -60,11 +60,15 @@ def test_polytope_fan_type_one_smallest_only():
 
 
 @pytest.mark.parametrize("concept, kind", [(WEAK, LOWER_STRICT),
-                                           (TYPE_ONE, LOWER)])
+                                           (TYPE_ONE, LOWER),
+                                           (TYPE_TWO, LOWER_STRONG)])
 def test_exclusion_certificates_solve_no_second_program(concept, kind,
                                                         monkeypatch):
-    # the 75 programs of the margin matrix S (5 images of 3 vertices, 5
-    # targets each) are all: every certificate reuses their multipliers
+    # weak and type one: the 75 programs of the margin matrix S (5 images
+    # of 3 vertices, 5 targets each) are all, and every certificate
+    # reuses their multipliers; type two: the 27 strong slacks its scan
+    # decides are all, kept by the instance for its certificates.  The
+    # question asked again reads what the instance keeps.
     solves = []
 
     def counted(prog, tol=None):
@@ -75,7 +79,8 @@ def test_exclusion_certificates_solve_no_second_program(concept, kind,
     params = {"seed": 5, "g": 5, "n": 1}
     inst = make_example("convex_polyhedral", params, exact=True)
     report = solve_direct(inst, concept)
-    assert len(solves) == 75
+    assert solve_direct(inst, concept) == report
+    assert len(solves) == (27 if concept == TYPE_TWO else 75)
     assert len(report.certificates) == 4
     monkeypatch.undo()
     fresh = make_example("convex_polyhedral", params, exact=True)
