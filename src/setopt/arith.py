@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 Num = Union[int, float, Fraction]
 Vec = Sequence[Num]
@@ -36,8 +36,13 @@ def div(a: Num, b: Num) -> Num:
 def resolve_tol(tol, *samples: Num) -> Num:
     """``tol``, else 0 when all ``samples`` are rational and ``DEFAULT_TOL``
     otherwise.  A question is exact only when its cone, its images and its
-    own numbers are all rational: it resolves by ``imagesets.question_tol``."""
+    own numbers are all rational: it resolves by ``imagesets.question_tol``.
+    An explicit ``tol`` must be a finite number ``>= 0``."""
     if tol is not None:
+        if (isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction))
+                or not 0 <= tol < math.inf):
+            raise ValidationError(
+                f"tol must be a finite number >= 0, got {tol!r}")
         return tol
     return 0 if all(is_exact(s) for s in samples) else DEFAULT_TOL
 

@@ -10,10 +10,14 @@ Every question about a finite image reads the margins of its points to
 one target from one kernel, ``_Margins``: on rational data at tol 0
 they are ints over one denominator, from the cone coordinates
 ``a_j.y / a_j.e`` the image keeps as int rows, otherwise ``cone.margin``
-values compared within tol.  A polytope keeps its two linear programs,
-the point margin and the strong slack, prepared once on the cone
-products ``a_j.v`` of its vertices (``lp``); a target changes only
-their right-hand side ``-A.t``.  An image keeps this data for the last
+values compared within tol.  A target, like each of those rows, costs
+one int conversion with no ``Fraction`` arithmetic (``_target``):
+scaled to ints over its least common denominator, dotted with the
+cone's rows ``a_j / a_j.e`` kept as ints over one denominator, and
+reduced by one gcd.  A polytope keeps its two linear programs, the
+point margin and the strong slack, prepared once on the cone products
+``a_j.v`` of its vertices (``lp``); a target changes only their
+right-hand side ``-A.t``.  An image keeps this data for the last
 cone asked.  Extreme-point pruning sweeps the hull (Andrew's monotone
 chain) for exact planar vertex lists and solves one linear program per
 vertex otherwise.  ``question_tol`` resolves every question's default
@@ -26,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import sub
+from operator import mul, sub
 
 from .arith import (Num, Vec, dist_sq, dot, ge, gt, ints_over, is_exact, lcd,
                     num_finite, resolve_tol, veq, vscale, vsub)
@@ -78,7 +82,7 @@ def question_tol(tol, cone: Cone, images, *numbers) -> Num:
     """``tol``, else 0 when every entry of ``cone``, of ``images`` and of
     the question's own ``numbers`` is rational, else ``DEFAULT_TOL``."""
     if tol is not None:
-        return tol
+        return resolve_tol(tol)
     return resolve_tol(None, *cone.e, *chain(*cone.rows), *numbers,
                        *(v for img in images for p in img.points for v in p))
 
@@ -252,8 +256,9 @@ def _cone_products(image: ImageSet, cone: Cone):
     the target 0, whose right-hand side ``-A.t`` is all a target
     changes, the rows ``a_1, ..., a_J, sum_j a_j`` and those as ints.
     A finite image's ``(rows, den, coef)``, None unless all is rational:
-    ``rows[i][j] / den = a_j.y_i / a_j.e`` in ints and ``coef[j] = a_j /
-    a_j.e``.  Kept for the cone last asked."""
+    ``rows[i][j] / den = a_j.y_i / a_j.e`` in ints, each row converted by
+    ``_target``, and ``coef = (crows, c)`` with ``crows[j] / c = a_j /
+    a_j.e`` in ints.  Kept for the cone last asked."""
     kept = image._products
     if kept is None or kept[0] is not cone:
         kept = (cone, (_coordinates if image.is_finite else _products)(
@@ -306,19 +311,28 @@ def _neg_dots(rows, ints, v) -> tuple:
 def _coordinates(points, cone):
     if not all(is_exact(v) for r in (cone.e, *cone.rows, *points) for v in r):
         return None
-    coef = tuple(tuple(Fraction(a) / de for a in row)
-                 for row, de in zip(cone.rows, cone.row_e))
-    zs = [[dot(crow, p) for crow in coef] for p in points]
-    den = lcd([v for z in zs for v in z])
-    return tuple(ints_over(z, den) for z in zs), den, coef
+    # a_j / a_j.e as ints over one denominator c, formed with the rows
+    ratios = [[Fraction(a) / de for a in row]
+              for row, de in zip(cone.rows, cone.row_e)]
+    c = lcd(chain(*ratios))
+    coef = tuple(ints_over(r, c) for r in ratios), c
+    zs = [_target(p, coef, 1) for p in points]
+    den = math.lcm(*[d for _, d in zs])
+    return tuple(tuple([v * (den // d) for v in z]) for z, d in zs), den, coef
 
 
 def _target(point, coef, den):
     """``(ints, d)``: the cone coordinates of a rational point times
-    ``den``, as ints over a positive ``d``."""
-    z = [dot(crow, point) * den for crow in coef]
-    d = lcd(z)
-    return ints_over(z, d), d
+    ``den``, as ints over the least positive ``d``.  With ``coef =
+    (rows, c)``, the point scaled to ints ``z`` over ``lcd(point)``
+    gives ``den * rows[j].z / (c * lcd(point))``, reduced by one gcd."""
+    rows, c = coef
+    over = lcd(point)
+    z = ints_over(point, over)
+    n = [den * sum(map(mul, r, z)) for r in rows]
+    d = c * over
+    g = math.gcd(d, *n)
+    return tuple([v // g for v in n]), d // g
 
 
 def minimal_vertices(image: ImageSet, cone: Cone, tol=None) -> tuple:

@@ -228,6 +228,11 @@ def from_json_dict(data: dict, exact: bool = False, tol=None) -> Instance:
     cone_data = data["cone"]
     if not isinstance(cone_data, dict) or "rows" not in cone_data or "e" not in cone_data:
         raise ParseError("cone must be an object with 'rows' and 'e'")
+    for where, value in (("cone.rows", cone_data["rows"]),
+                         ("decisions", data["decisions"]),
+                         ("images", data["images"])):
+        if not isinstance(value, list):
+            raise ParseError(f"{where}: expected a list")
     rows = [vec(r, f"cone.rows[{j}]") for j, r in enumerate(cone_data["rows"])]
     e = vec(cone_data["e"], "cone.e")
     cone = validate_cone(rows, e, tol)

@@ -50,7 +50,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import DEFAULT_TOL, Num, div, dot, is_exact, lcd, num_finite
+from .arith import (DEFAULT_TOL, Num, div, dot, is_exact, lcd, num_finite,
+                    resolve_tol)
 from .errors import DimMismatch, IterationCapExceeded, ValidationError
 
 ITERATION_CAP = 10_000
@@ -417,6 +418,8 @@ def _arith(prog: LinearProgram, tol):
     exact = _exact(prog)
     if tol is None:
         tol = 0 if exact else DEFAULT_TOL
+    else:
+        tol = resolve_tol(tol)
     if tol == 0 and exact:
         return _Integral()
     return _Dense(tol)

@@ -381,13 +381,17 @@ def _excluded(inst, idx, pool, p, eps, tol, table):
                             strict_component=strict_pos)
 
 
+def _check_budget(p) -> None:
+    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
+        raise ValidationError(f"budget p must be an integer >= 1, got {p!r}")
+
+
 def membership_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
                   tol=None) -> VpReport:
     """Per-decision membership in the projected budget-p solution set."""
     if kind not in VP_KINDS:
         raise ValidationError(f"unknown vectorization kind {kind!r}")
-    if p < 1:
-        raise ValidationError("budget p must be at least 1")
+    _check_budget(p)
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
     tol = question_tol(tol, inst.cone, inst.images, eps)
@@ -547,8 +551,7 @@ def brute_force_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
     """
     if kind not in VP_KINDS:
         raise ValidationError(f"unknown vectorization kind {kind!r}")
-    if p < 1:
-        raise ValidationError("budget p must be at least 1")
+    _check_budget(p)
     if any(not img.is_finite for img in inst.images):
         raise ValidationError("the brute-force oracle needs finite images")
     tol = question_tol(tol, inst.cone, inst.images, eps)

@@ -165,12 +165,24 @@ def test_usage_errors_exit_two(tmp_path):
     assert run(["minimal-p", "-i", str(inst_path), "--x", "nope"]) != 0
 
 
-def test_bad_instance_content_exit_two(tmp_path):
+def test_bad_instance_content_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"cone": {"rows": [[1,0]], "e": [1,0]}, '
                    '"decisions": [{"label": "a", "x": [0]}], '
                    '"images": [{"type": "finite", "points": [[0,0]]}]}')
     assert run(["solve", "-i", str(bad)]) == 2
+    # a field that must be a list, given as a number, names itself
+    for field in ("cone.rows", "decisions", "images"):
+        data = {"cone": {"rows": [[1, 0], [0, 1]], "e": [1, 1]},
+                "decisions": [], "images": []}
+        if field == "cone.rows":
+            data["cone"]["rows"] = 5
+        else:
+            data[field] = 5
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(["solve", "-i", str(bad)]) == 2
+        assert field in capsys.readouterr().err
 
 
 def test_mixed_dimension_polytope_exit_two(tmp_path, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import setopt.imagesets
-from setopt.arith import dot
+from setopt.arith import dot, lcd, vscale, vsub
 from setopt.cone import margin, validate_cone
 from setopt.errors import EmptyImage, ValidationError
 from setopt.imagesets import (_in_hull, covering_number_internal,
@@ -529,3 +529,53 @@ def test_exact_ints_and_float_margins_answer_alike(orthant, skew_cone,
                 assert set_relation(a, b, cone, kind, eps, 0) == \
                     set_relation(fa, fb, fcone, kind, float(eps), 0.0)
     assert cases > 1000
+
+
+def test_integer_cone_coordinates_match_a_fraction_scan(orthant, skew_cone):
+    # exact margins are read off ints: a target is scaled once to ints
+    # over lcd(q), dotted with the cone's rows a_j / a_j.e over one
+    # denominator c, and reduced by one gcd.  Coordinates k/d, d up to
+    # 7, under cones whose a_j.e are not powers of two, against
+    # cone.margin in Fractions
+    three_row = validate_cone([[1, F(1, 3)], [F(1, 5), 1], [1, F(-1, 7)]],
+                              [1, F(1, 2)])
+    rng = random.Random(19)
+
+    def point():
+        return tuple(F(rng.randint(-12, 12), rng.randint(1, 7))
+                     for _ in range(2))
+
+    def image():
+        coords = [point() for _ in range(rng.randint(1, 6))]
+        return finite_set(coords + rng.sample(coords, rng.randint(0, 2)))
+
+    reduced = kept = 0
+    for cone in (orthant, skew_cone, three_row):
+        for _ in range(6):
+            a, b = image(), image()
+            own = list(enumerate(a.points))
+            for key, q in own + [(y, y) for y in b.points + (point(),)]:
+                ms = [margin(y, q, cone) for y in a.points]
+                best = max(ms)
+                assert point_margin_with_witness(q, a, cone) == \
+                    (best, a.points[ms.index(best)])
+                for eps, strict, distinct in itertools.product(
+                        (0, F(1, 3), F(5, 7)), (False, True), (False, True)):
+                    peak = vsub(q, vscale(eps, cone.e))
+                    want = [y for y, m in zip(a.points, ms)
+                            if (m > eps if strict else m >= eps)
+                            and not (distinct and y == peak)]
+                    assert list(dominators(a, cone, key, eps, 0, strict,
+                                           distinct)) == want
+                    if distinct and not strict:
+                        assert strong_membership_slack(q, a, cone, eps=eps) \
+                            == ((True, want[0], None) if want
+                                else (False, None, None))
+                _, den, coef = setopt.imagesets._cone_products(a, cone)
+                d = setopt.imagesets._target(q, coef, den)[1]
+                if d < coef[1] * lcd(q):
+                    reduced += 1
+                else:
+                    kept += 1
+    # both sides of the gcd step ran
+    assert reduced > 20 and kept > 20

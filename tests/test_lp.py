@@ -73,6 +73,17 @@ def test_nan_rejected():
         LinearProgram(objective=(float("nan"),))
 
 
+def test_out_of_range_tol_rejected():
+    prog = LinearProgram(objective=(F(1),), ge_lhs=((F(-1),),),
+                         ge_rhs=(F(-1),), lower_bounds=(F(0),))
+    assert lp_maximize(prog, tol=0).value == 1
+    for tol in (F(-1), float("nan")):
+        with pytest.raises(ValidationError, match="tol must be"):
+            lp_maximize(prog, tol=tol)
+        with pytest.raises(ValidationError, match="tol must be"):
+            lp_feasible(prog, tol=tol)
+
+
 def test_negative_lower_bounds_shift():
     # max x1 + x2 with x1 >= -2, x2 >= -3, x1 + x2 <= 0
     prog = LinearProgram(objective=(F(1), F(1)),

@@ -176,6 +176,16 @@ def test_eps_validation():
         solve_direct(inst, "bogus", 0)
 
 
+def test_out_of_range_tol_is_refused():
+    # a negative tol made every weak comparison fail: the answer at
+    # tol 0 is ('0', '1', '2'), a tol of -1 answered ()
+    inst = make_example("mfdvp", exact=True)
+    assert solve_direct(inst, WEAK, 0, tol=0).members == ("0", "1", "2")
+    for tol in (F(-1), -1e-9, float("nan"), float("inf"), "0", True):
+        with pytest.raises(ValidationError, match="tol must be"):
+            solve_direct(inst, WEAK, 0, tol=tol)
+
+
 def test_report_json_shape():
     inst = make_example("strict_min", {"g": 3}, exact=True)
     report = solve_direct(inst, TYPE_TWO, 0)

@@ -252,6 +252,19 @@ def test_weighted_sum_hand_values(mfdvp):
     assert one == two
 
 
+def test_budget_and_tol_validation(mfdvp):
+    # a min-kind tol of -1 answered ('0', '1', '2'), against ('1', '2')
+    assert membership_vp(mfdvp, 2, 0, VP_MIN, tol=0).members == ("1", "2")
+    with pytest.raises(ValidationError, match="tol must be"):
+        membership_vp(mfdvp, 2, 0, VP_MIN, tol=F(-1))
+    with pytest.raises(ValidationError, match="tol must be"):
+        minimal_p(mfdvp, "0", tol=float("nan"))
+    for check in (membership_vp, brute_force_vp):
+        for p in (1.5, F(2), True, "2", 0):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                check(mfdvp, p)
+
+
 def test_weighted_sum_validation(mfdvp):
     with pytest.raises(WeightNotInDualCone):
         solve_weighted_sum(mfdvp, 1, [(F(-1), F(0))])
