@@ -17,10 +17,15 @@ cone's rows ``a_j / a_j.e`` kept as ints over one denominator, and
 reduced by one gcd.  A polytope keeps its two linear programs, the
 point margin and the strong slack, prepared once on the cone products
 ``a_j.v`` of its vertices (``lp``); a target changes only their
-right-hand side ``-A.t``.  An image keeps this data for the last
-cone asked.  Extreme-point pruning sweeps the hull (Andrew's monotone
-chain) for exact planar vertex lists and solves one linear program per
-vertex otherwise.  ``question_tol`` resolves every question's default
+right-hand side ``-A.t``.  On rational data it also keeps its vertices'
+int rows and their least value per row, so at tol 0 ``_vertex_bounds``
+puts a point margin between the best vertex margin and the ideal
+point's with no program (Gerth & Weidner, JOTA 67, 1990); ``Instance``
+solves one only where they leave a verdict open or a certificate needs
+multipliers.  An image keeps this data for the last cone asked.
+Extreme-point pruning sweeps the hull (Andrew's monotone chain) for
+exact planar vertex lists and solves one linear program per vertex
+otherwise.  ``question_tol`` resolves every question's default
 tolerance, over its cone, its images and its own numbers.
 """
 
@@ -96,20 +101,22 @@ def polytope(vertices) -> ImageSet:
 
 
 class _Margins:
-    """The margin kernel of finite images: for a target ``q``, a point
-    or the index of one of the image's points, ``margins`` yields
-    ``margin(y, q)`` for each point ``y``, lazily and in image order;
-    ``positions`` are the points' positions and ``t`` that of ``q``.  On
-    rational data at tol 0 or None (margins are the same numbers either
-    way; only thresholds read tol) a position is an int row of cone
-    coordinates over ``den``, equal only for equal points as A has full
-    column rank (an own target's row is read, not converted again), and
-    a margin the int ``min_j t_j - w_j``.  Otherwise positions are the
-    points, margins ``cone.margin`` values and ``den`` None."""
+    """The margin kernel of finite images and vertex lists: for a target
+    ``q``, a point or the index of one of the image's points, ``margins``
+    yields ``margin(y, q)`` for each point ``y``, lazily and in image
+    order; ``positions`` are the points' positions and ``t`` that of
+    ``q``.  On rational data at tol 0 or None (margins are the same
+    numbers either way; only thresholds read tol) a position is an int
+    row of cone coordinates over ``den`` (``d`` times the image's), equal
+    only for equal points as A has full column rank, and a margin the
+    int ``min_j t_j - w_j``.  Otherwise positions are the points, margins
+    ``cone.margin`` values and ``den`` None."""
 
     def __init__(self, image: ImageSet, cone: Cone, q, tol):
         own = isinstance(q, int)
         coords = None if tol else _cone_products(image, cone)
+        if image.kind == POLYTOPE:
+            coords = coords and coords[4]
         self.tol, self.e, self.den = tol, cone.e, None
         if coords is None or not (own or all(map(is_exact, q))):
             q = self.t = image.points[q] if own else q
@@ -118,10 +125,11 @@ class _Margins:
             return
         rows, den, coef = coords
         t, d = (rows[q], 1) if own else _target(q, coef, den)
-        if d != 1:
-            rows = [tuple([d * v for v in w]) for w in rows]
-        self.den, self.t, self.positions = den * d, t, rows
-        self.margins = (min(map(sub, t, w)) for w in rows)
+        self.den, self.t, self.d = den * d, t, d
+        self.positions = rows if d == 1 else (  # each scaled when read
+            tuple([d * v for v in w]) for w in rows)
+        self.margins = ((min(map(sub, t, w)) for w in rows) if d == 1 else
+                        (min([a - d * b for a, b in zip(t, w)]) for w in rows))
 
     def bars(self, eps, distinct=False):
         """``(lo, hi, at_peak)``: a margin is ``>= eps`` within tol iff
@@ -140,6 +148,20 @@ class _Margins:
 
     def value(self, m) -> Num:
         return m if self.den is None else Fraction(m, self.den)
+
+
+def _vertex_bounds(image: ImageSet, cone: Cone, q, tol):
+    """``(lb, ub, below)`` for a polytope at tol 0 on rational data, else
+    None: ``lb <= point_margin(q) <= ub``, the best vertex margin and the
+    ideal point's, and for a vertex index ``q``, whether another vertex
+    lies K-below it."""
+    scan = None if tol or image.is_finite else _Margins(image, cone, q, 0)
+    if scan is None or scan.den is None:
+        return None
+    ms, ideal = list(scan.margins), _cone_products(image, cone)[5]
+    ub = min([a - scan.d * b for a, b in zip(scan.t, ideal)])
+    below = isinstance(q, int) and sum(m >= 0 for m in ms) > 1  # own: 0
+    return scan.value(max(ms)), scan.value(ub), below
 
 
 def min_elements(image: ImageSet, cone: Cone, weak: bool = False,
@@ -198,7 +220,7 @@ def point_margin_with_witness(b: Vec, image: ImageSet, cone: Cone,
         ms = list(scan.margins)
         best = max(ms)
         return scan.value(best), image.points[ms.index(best)]
-    prog, _, rows, ints = _cone_products(image, cone)
+    prog, _, rows, ints = _cone_products(image, cone)[:4]
     prog = prog._with_ge_rhs(_neg_dots(rows, ints, b)[:-1])
     out = lp_maximize(prog, tol=tol)
     if not out.is_optimal:
@@ -226,7 +248,7 @@ def strong_membership_slack(target: Vec, image: ImageSet, cone: Cone,
                  None)
         return (False, None, None) if a is None else (True, a, None)
     target = vsub(target, vscale(eps, cone.e))
-    _, prog, rows, ints = _cone_products(image, cone)
+    _, prog, rows, ints = _cone_products(image, cone)[:4]
     *rhs, neg_total = _neg_dots(rows, ints, target)
     out = lp_maximize(prog._with_ge_rhs(tuple(rhs)), tol=tol)
     if not out.is_optimal:
@@ -251,10 +273,12 @@ def dominators(image: ImageSet, cone: Cone, q: Vec, eps: Num, tol,
 
 
 def _cone_products(image: ImageSet, cone: Cone):
-    """A polytope's ``(margin, slack, rows, ints)``: the programs of
-    ``point_margin_with_witness`` and ``strong_membership_slack`` for
-    the target 0, whose right-hand side ``-A.t`` is all a target
-    changes, the rows ``a_1, ..., a_J, sum_j a_j`` and those as ints.
+    """A polytope's ``(margin, slack, rows, ints, coords, ideal)``: the
+    programs of ``point_margin_with_witness`` and
+    ``strong_membership_slack`` for the target 0, whose right-hand side
+    ``-A.t`` is all a target changes, the rows ``a_1, ..., a_J, sum_j
+    a_j``, those as ints, its vertices' coordinates as below and their
+    least per row, the ideal point (None unless all is rational).
     A finite image's ``(rows, den, coef)``, None unless all is rational:
     ``rows[i][j] / den = a_j.y_i / a_j.e`` in ints, each row converted by
     ``_target``, and ``coef = (crows, c)`` with ``crows[j] / c = a_j /
@@ -293,7 +317,9 @@ def _products(verts, cone) -> tuple:
         ge_rhs=zeros,
         lower_bounds=(0,) * k,
     )
-    return margin, slack, rows, ints
+    coords = _coordinates(verts, cone)
+    return (margin, slack, rows, ints, coords,
+            coords and tuple(map(min, zip(*coords[0]))))
 
 
 def _neg_dots(rows, ints, v) -> tuple:

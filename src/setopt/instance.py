@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,9 +24,9 @@ from .arith import (Num, div, dot, format_vector, ge, is_exact,
 from .cone import Cone, validate_cone
 from .errors import (DimMismatch, DuplicateLabel, EmptyImage, ParseError,
                      ValidationError)
-from .imagesets import (FINITE, POLYTOPE, ImageSet, cover_by_sq_radius,
-                        finite_set, hausdorff_sq, min_elements,
-                        point_margin_with_witness, polytope,
+from .imagesets import (FINITE, POLYTOPE, ImageSet, _vertex_bounds,
+                        cover_by_sq_radius, finite_set, hausdorff_sq,
+                        min_elements, point_margin_with_witness, polytope,
                         prune_to_extreme, strong_membership_slack)
 
 EXAMPLE_NAMES = ("t_one", "strict_min", "cantor", "mfdvp", "mfdvp_polytope",
@@ -106,6 +107,25 @@ class Instance:
                 point, img, self.cone, tol, eps)
         return got
 
+    def _bits(self, j: int, points, eps, tol, weak: bool) -> tuple:
+        """``vectorizer._table``'s bitmasks of ``points`` against polytope
+        ``j``: those whose point margin is ``> eps`` (``weak``) or ``>=
+        eps`` within tol, read off its vertex bounds when both agree and
+        else off the stored margin, and for the min kind those of them it
+        strongly dominates (0 for the weak kind)."""
+        cmp, bar = ((operator.gt, eps + tol) if weak else
+                    (operator.ge, eps - tol))
+        img, d, x = self.images[j], 0, 0
+        for i, q in enumerate(points):
+            b = _vertex_bounds(img, self.cone, q, tol)
+            if b is None or cmp(b[0], bar) != cmp(b[1], bar):
+                b = self.point_margin(j, q, tol)
+            if cmp(b[0], bar):
+                d |= 1 << i
+                if not weak:
+                    x |= self.strongly_dominates(j, q, eps, tol) << i
+        return d, x
+
     def strongly_dominates(self, j: int, point: tuple, eps, tol) -> bool:
         """Whether ``point - eps*e`` lies in image ``j`` plus K minus the
         origin, i.e. ``strong_slack(j, point, eps, tol)[0]``.  A finite
@@ -113,9 +133,17 @@ class Instance:
         ``mu < eps`` within tol, true when ``w`` is not the shifted point,
         and only at that tie does it scan.  In exact arithmetic (``mu``
         rational, tol 0) ``w`` is the shifted point only if ``mu == eps``,
-        so the point is built only then."""
-        if not self.images[j].is_finite:
-            return self.strong_slack(j, point, eps, tol)[0]
+        so the point is built only then.  An exact polytope reads it off
+        its vertex bounds ``lb <= mu <= ub``, else off the stored margin
+        if ``lb < eps``, and solves its strong-slack program at a tie."""
+        img = self.images[j]
+        if not img.is_finite:  # no bounds: as at a tie, by the program
+            lb, ub, _ = (_vertex_bounds(img, self.cone, point, tol)
+                         or (eps, eps, False))
+            m = (lb if lb >= eps or ub < eps else
+                 self.point_margin(j, point, tol)[0])
+            return m > eps if m != eps else self.strong_slack(
+                j, point, eps, tol)[0]
         mu, w = self.point_margin(j, point, tol)
         if not ge(mu, eps, tol):
             return False
@@ -128,13 +156,28 @@ class Instance:
         return self.strong_slack(j, point, eps, tol)[0]
 
     def set_margins(self, tol) -> list:
-        """``S[i][k] = set_margin(F(x_i), F(x_k))``, computed once per tol."""
+        """``S[i][k] = set_margin(F(x_i), F(x_k))``, computed once per tol.
+        Against an exact polytope, F(x_k)'s points go by increasing vertex
+        bound ``lb`` until it reaches the least margin so far, and only
+        those whose bounds differ solve a program."""
         tables = self._tables(tol)
         if tables[2] is None:
-            tables[2] = [[min(self.point_margin(i, p, tol)[0]
-                              for p in img.points) for img in self.images]
+            tables[2] = [[self._set_margin(i, img.points, tol)
+                          for img in self.images]
                          for i in range(len(self.images))]
         return tables[2]
+
+    def _set_margin(self, i, points, tol):
+        if self.images[i].is_finite:
+            return min(self.point_margin(i, p, tol)[0] for p in points)
+        low, none = math.inf, (-math.inf, math.inf, False)  # no bounds
+        for (lb, ub, _), p in sorted(
+                ((_vertex_bounds(self.images[i], self.cone, p, tol) or none,
+                  p) for p in points), key=lambda bp: bp[0][0]):
+            if lb >= low:
+                break
+            low = min(low, lb if lb == ub else self.point_margin(i, p, tol)[0])
+        return low
 
     def pool(self, i: int, tol) -> tuple:
         """Minimal points of finite image ``i``, or the minimal vertices
@@ -143,10 +186,13 @@ class Instance:
         pools = self._tables(tol)[1]
         if i not in pools:
             img = self.images[i]
+            # a vertex with another vertex K-below it is not minimal
             pools[i] = (min_elements(img, self.cone, weak=False, tol=tol)
                         if img.is_finite else
-                        tuple(v for v in img.points
-                              if not self.strong_slack(i, v, 0, tol)[0]))
+                        tuple(v for t, v in enumerate(img.points)
+                              if not ((b := _vertex_bounds(img, self.cone, t,
+                                                           tol)) and b[2])
+                              and not self.strong_slack(i, v, 0, tol)[0]))
         if not pools[i]:
             raise ValidationError(f"decision {self.decisions[i].label!r} "
                                   f"has an empty candidate pool at tol {tol}")

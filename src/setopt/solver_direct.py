@@ -8,16 +8,19 @@ iff no x_i excludes it.  With S[i][k] the largest shift with
 * type-one: S[i][k] >= eps and S[k][i] < -eps,
 * type-two: the strong relation holds at shift eps, each point of
   F(x_k) read by ``Instance.strongly_dominates``: off the stored point
-  margin, with a scan of F(x_i) only at a tie with the shifted point.
+  margin (an exact polytope's vertex bounds first), with a scan or
+  program of F(x_i) only at a tie with the shifted point.
 
 One scan per candidate meets the first such x_i in index order and
 certifies the relation that excludes; the weak and type-one
 certificates are built from the point margins and witnesses that
 built S, with no second solve, and the type-two certificate of that
 one pair from ``Instance.strong_slack`` (a scan for a finite image, the
-stored program for a polytope).  Quantifiers run over the whole decision
-list including the candidate itself, exactly as the solution concepts
-are defined.
+stored program for a polytope).  S solves a polytope's margin program
+only where its vertex bounds leave the minimum open, so a certificate
+may solve the others.
+Quantifiers run over the whole decision list including the candidate
+itself, exactly as the solution concepts are defined.
 """
 
 from __future__ import annotations

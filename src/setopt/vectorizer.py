@@ -28,9 +28,10 @@ budget, any shift: replacing a tuple entry by a minimal point below it
 preserves survival) and the minimal vertices of polytope images (exact
 once the budget reaches the pool size; below that the verdict is sound
 but flagged incomplete).  The tables read the instance's stored point
-margins; the min kind's distinct-witness bit comes from
-``Instance.strongly_dominates``, which scans a finite image only at a
-tie with the shifted point, and a certificate's witness from
+margins, except that an exact polytope competitor's vertex bounds
+settle most bits with no program; the min kind's distinct-witness bit
+comes from ``Instance.strongly_dominates``, which scans a finite image
+only at a tie with the shifted point, and a certificate's witness from
 ``imagesets.dominators``, which at tol 0 compares integer cone
 coordinates.  ``brute_force_vp`` re-derives membership from the raw
 definitions over full images, on a table of its own, as the oracle.
@@ -48,7 +49,7 @@ from .arith import Num, div, format_number, format_vector, ge, gt, veq, \
     vscale, vsub
 from .cone import DEFAULT_GAMMA, in_dual_cone, margin, r_epsilon_sq
 from .errors import CapExceeded, ValidationError, WeightNotInDualCone
-from .imagesets import cover_by_sq_radius, dominators, question_tol
+from .imagesets import POLYTOPE, cover_by_sq_radius, dominators, question_tol
 from .instance import Instance
 from .solver_direct import WEAK as DIRECT_WEAK
 from .solver_direct import solve_direct
@@ -264,14 +265,17 @@ def _table(inst, kind, pool, eps, tol):
     distinct from the shifted point; ``(dom, None)`` for the weak kind."""
     weak = kind == VP_WEAK
     dom, extra = [], []
-    for j in range(len(inst.images)):
+    for j, img in enumerate(inst.images):
         d = x = 0
-        for i, q in enumerate(pool):
-            mu = inst.point_margin(j, q, tol)[0]
-            if gt(mu, eps, tol) if weak else ge(mu, eps, tol):
-                d |= 1 << i
-                if not weak:
-                    x |= inst.strongly_dominates(j, q, eps, tol) << i
+        if img.kind == POLYTOPE:  # most bits settled by vertex bounds
+            d, x = inst._bits(j, pool, eps, tol, weak)
+        else:
+            for i, q in enumerate(pool):
+                mu = inst.point_margin(j, q, tol)[0]
+                if gt(mu, eps, tol) if weak else ge(mu, eps, tol):
+                    d |= 1 << i
+                    if not weak:
+                        x |= inst.strongly_dominates(j, q, eps, tol) << i
         dom.append(d)
         extra.append(x)
     return dom, None if weak else extra

@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import json
@@ -10,8 +11,9 @@ import pytest
 from setopt.cone import validate_cone
 from setopt.errors import (DimMismatch, DuplicateLabel, EmptyImage,
                            NotInterior, ParseError, ValidationError)
-from setopt.imagesets import (finite_set, min_elements, question_tol,
-                              strong_membership_slack)
+from setopt.imagesets import (_cone_products, _target, _vertex_bounds,
+                              finite_set, min_elements, polytope,
+                              question_tol, strong_membership_slack)
 from setopt.instance import (Decision, Instance, build_instance,
                              cantor_limit_point, cantor_point, discretize_map,
                              from_json_dict, halfplane_vertices,
@@ -345,3 +347,93 @@ def test_strong_bits_match_the_scan(orthant, skew_cone, orthant_float,
                               [finite_set([q]), finite_set([y, q])])
         _assert_strong_bits_match_scans(inst, (eps,), (tol, None, 0.0,
                                                         1e-3))
+
+
+# the skew cones of the polytope goldens (tests/test_golden_digests.py)
+GOLDEN_CONES = (([[2, 1], [1, 3]], [1, 1]),
+                ([[1, F(1, 3)], [F(1, 5), 1], [1, F(-1, 7)]], [1, 1]))
+
+
+def _mask(bits) -> int:
+    return sum(bit << i for i, bit in enumerate(bits))
+
+
+def _assert_bounds_agree(inst, fresh, seen):
+    """Every bit an exact polytope's vertex bounds settle is the one its
+    programs decide, at eps 0, 1/7 and the margin itself, for every
+    vertex of every image and the ``fresh`` points."""
+    targets = list(dict.fromkeys(v for img in inst.images
+                                 for v in img.points)) + fresh
+    for j, img in enumerate(inst.images):
+        _, den, coef = _cone_products(img, inst.cone)[4]
+        mus = [inst.point_margin(j, q, 0)[0] for q in targets]
+        for q, mu in zip(targets, mus):
+            lb, ub, _ = _vertex_bounds(img, inst.cone, q, 0)
+            assert lb <= mu <= ub and (lb < ub or lb == mu)
+            # at the tie bits are settled when lb == mu or ub == mu
+            assert inst._bits(j, [q], mu, 0, True) == (0, 0)
+            if lb < mu == ub:
+                assert inst.strongly_dominates(j, q, mu, 0) == \
+                    inst.strong_slack(j, q, mu, 0)[0]
+                seen["lb < mu == ub"] += 1
+            seen["d > 1"] += _target(q, coef, den)[1] > 1
+            seen["lb == ub"] += lb == ub
+            seen["tie settled"] += lb == mu or ub == mu
+            seen["0 settled"] += lb > 0 or ub < 0
+        for eps in (0, F(1, 7)):
+            assert inst._bits(j, targets, eps, 0, True) == (
+                _mask(mu > eps for mu in mus), 0)
+            assert inst._bits(j, targets, eps, 0, False) == (
+                _mask(mu >= eps for mu in mus),
+                _mask(mu > eps or mu == eps and inst.strong_slack(j, q, eps,
+                                                                  0)[0]
+                      for q, mu in zip(targets, mus)))
+            assert not any(inst.strongly_dominates(j, q, eps, 0)
+                           for q, mu in zip(targets, mus) if mu < eps)
+        margin = dict(zip(targets, mus))
+        assert inst.set_margins(0)[j] == [
+            min(map(margin.get, b.points)) for b in inst.images]
+        assert inst.pool(j, 0) == tuple(
+            v for v in img.points if not inst.strong_slack(j, v, 0, 0)[0])
+
+
+def test_vertex_bounds_settle_only_what_the_programs_decide():
+    # at tol 0 on rational data a polytope's vertex bounds lb <= mu <= ub
+    # settle table bits, strong bits, set margins and pool members with
+    # no program.  Convex-graph images under the orthant and the goldens'
+    # skew cones, asked about every vertex of every image and fresh
+    # points whose cone coordinates over an image's denominator need a
+    # factor d > 1; polytopes in R^3, where lb < mu == ub can hold
+    rng = random.Random(37)
+    cones = [None] + [validate_cone(rows, e) for rows, e in GOLDEN_CONES]
+    seen = collections.Counter()
+    for seed, (n, g) in itertools.product(range(20),
+                                          ((1, 5), (2, 2), (1, 3))):
+        inst = make_example("convex_polyhedral",
+                            {"seed": seed, "n": n, "g": g}, exact=True)
+        inst = build_instance(cones[seed % 3] or inst.cone, inst.decisions,
+                              inst.images)
+        _assert_bounds_agree(inst, [
+            tuple(F(rng.randint(-40, 40), rng.randint(2, 7)) for _ in "xy")
+            for _ in range(3)], seen)
+    space = validate_cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1])
+    # (1, 1, -1) has margin 1, that of the ideal point (-4, -2, -2),
+    # where no vertex has more than 0, and (1, 1, -1) - e = (0, 0, -2)
+    # lies above the edge point (-1, 0, -2): a tie with ub that only the
+    # strong-slack program decides
+    hand = polytope([tuple(map(F, v)) for v in (
+        (-2, 4, 1), (-4, 3, -2), (4, -2, -2), (1, -2, -2), (1, -2, 4))])
+    inst = build_instance(space, [("a", (0,))], [hand])
+    assert _vertex_bounds(hand, space, (1, 1, -1), 0)[:2] == (0, 1)
+    assert inst.strongly_dominates(0, (F(1), F(1), F(-1)), 1, 0)
+    _assert_bounds_agree(inst, [(F(1), F(1), F(-1))], seen)
+    for _ in range(2):
+        images = [polytope([tuple(F(rng.randint(-4, 4)) for _ in range(3))
+                            for _ in range(rng.randint(2, 5))])
+                  for _ in range(5)]
+        inst = build_instance(space, [(str(i), (i,)) for i in range(5)],
+                              images)
+        _assert_bounds_agree(inst, [
+            tuple(F(rng.randint(-6, 6)) for _ in "xyz") for _ in range(8)],
+            seen)
+    assert min(seen.values()) > 5 and seen["d > 1"] > 1000, seen

@@ -12,6 +12,7 @@ from setopt.setrelations import (LOWER, LOWER_STRICT, LOWER_STRONG,
                                  set_relation, verify_certificate)
 from setopt.solver_direct import (TYPE_ONE, TYPE_TWO, WEAK, solve_direct,
                                   weak_threshold)
+from setopt.vectorizer import VP_MIN, VP_WEAK, membership_vp
 
 
 def _oracle_strictly_dominated(inst, j, eps):
@@ -59,16 +60,7 @@ def test_polytope_fan_type_one_smallest_only():
     assert solve_direct(inst, TYPE_TWO, 0).members == ("1/4", "3/8", "1/2")
 
 
-@pytest.mark.parametrize("concept, kind", [(WEAK, LOWER_STRICT),
-                                           (TYPE_ONE, LOWER),
-                                           (TYPE_TWO, LOWER_STRONG)])
-def test_exclusion_certificates_solve_no_second_program(concept, kind,
-                                                        monkeypatch):
-    # weak and type one: the 75 programs of the margin matrix S (5 images
-    # of 3 vertices, 5 targets each) are all, and every certificate
-    # reuses their multipliers; type two: the 27 strong slacks its scan
-    # decides are all, kept by the instance for its certificates.  The
-    # question asked again reads what the instance keeps.
+def _count_programs(monkeypatch) -> list:
     solves = []
 
     def counted(prog, tol=None):
@@ -76,11 +68,27 @@ def test_exclusion_certificates_solve_no_second_program(concept, kind,
         return lp_maximize(prog, tol)
 
     monkeypatch.setattr(setopt.imagesets, "lp_maximize", counted)
+    return solves
+
+
+@pytest.mark.parametrize("concept, kind", [(WEAK, LOWER_STRICT),
+                                           (TYPE_ONE, LOWER),
+                                           (TYPE_TWO, LOWER_STRONG)])
+def test_exclusion_certificates_solve_no_second_program(concept, kind,
+                                                        monkeypatch):
+    # the margin matrix S (5 images of 3 vertices) would take 75 margin
+    # programs and the type-two scan 27 strong slacks; the vertex bounds
+    # settle all of S, so weak and type one solve only the 12 margins of
+    # their 4 certificates (3 targets each), and type two solves 17
+    # strong slacks: those of its certificates and of the strong bits
+    # at a tie of the margin with the shift.
+    # The question asked again reads what the instance keeps.
+    solves = _count_programs(monkeypatch)
     params = {"seed": 5, "g": 5, "n": 1}
     inst = make_example("convex_polyhedral", params, exact=True)
     report = solve_direct(inst, concept)
     assert solve_direct(inst, concept) == report
-    assert len(solves) == (27 if concept == TYPE_TWO else 75)
+    assert len(solves) == (17 if concept == TYPE_TWO else 12)
     assert len(report.certificates) == 4
     monkeypatch.undo()
     fresh = make_example("convex_polyhedral", params, exact=True)
@@ -89,6 +97,25 @@ def test_exclusion_certificates_solve_no_second_program(concept, kind,
         b = fresh.image_of(label)
         assert cert.relation == set_relation(a, b, fresh.cone, kind)[1]
         assert verify_certificate(a, b, fresh.cone, cert.relation)
+
+
+@pytest.mark.parametrize("kind, p, programs", [(VP_WEAK, 2, 9),
+                                               (VP_MIN, 1, 9)])
+def test_vectorized_membership_solves_few_programs(kind, p, programs,
+                                                   monkeypatch):
+    # one program per (competitor, pool point) would be 25 (5 images, one
+    # minimal vertex each) on top of the pools' strong slacks; a vertex
+    # with another vertex K-below it leaves the pool with no program and
+    # the vertex bounds settle most table bits
+    solves = _count_programs(monkeypatch)
+    inst = make_example("convex_polyhedral", {"seed": 5, "g": 5, "n": 1},
+                        exact=True)
+    report = membership_vp(inst, p, 0, kind)
+    assert sum(map(len, (inst.pool(i, 0) for i in range(5)))) == 5
+    assert len(solves) == programs
+    assert membership_vp(inst, p, 0, kind) == report
+    assert len(solves) == programs
+    assert report.members == ("1",)
 
 
 def test_weak_matches_definition_oracle():
