@@ -133,13 +133,16 @@ class Instance:
         ``mu < eps`` within tol, true when ``w`` is not the shifted point,
         and only at that tie does it scan.  In exact arithmetic (``mu``
         rational, tol 0) ``w`` is the shifted point only if ``mu == eps``,
-        so the point is built only then.  An exact polytope reads it off
-        its vertex bounds ``lb <= mu <= ub``, else off the stored margin
-        if ``lb < eps``, and solves its strong-slack program at a tie."""
+        so the point is built only then.  An exact polytope at an exact
+        eps reads it off its vertex bounds ``lb <= mu <= ub``, else off
+        the stored margin if ``lb < eps``, and solves its strong-slack
+        program at a tie."""
         img = self.images[j]
-        if not img.is_finite:  # no bounds: as at a tie, by the program
-            lb, ub, _ = (_vertex_bounds(img, self.cone, point, tol)
-                         or (eps, eps, False))
+        if not img.is_finite:
+            # no bounds, or a float eps that the program shifts by in
+            # floats: as at a tie, by the program
+            lb, ub, _ = (is_exact(eps) and _vertex_bounds(
+                img, self.cone, point, tol) or (eps, eps, False))
             m = (lb if lb >= eps or ub < eps else
                  self.point_margin(j, point, tol)[0])
             return m > eps if m != eps else self.strong_slack(

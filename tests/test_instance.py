@@ -437,3 +437,19 @@ def test_vertex_bounds_settle_only_what_the_programs_decide():
             tuple(F(rng.randint(-6, 6)) for _ in "xyz") for _ in range(8)],
             seen)
     assert min(seen.values()) > 5 and seen["d > 1"] > 1000, seen
+
+
+def test_float_shift_of_exact_polytopes_stays_with_the_program():
+    # at an explicit tol 0 a float eps shifts the target in floats inside
+    # the strong-slack program, which exact bounds cannot stand in for:
+    # the strong bit stays the program's, so the min kind finds the
+    # distinct witness its table promised
+    for seed, n, g in ((5, 1, 3), (7, 2, 2), (9, 1, 4)):
+        inst = make_example("convex_polyhedral",
+                            {"seed": seed, "n": n, "g": g}, exact=True)
+        for j, q in itertools.product(range(len(inst.images)),
+                                      {v for b in inst.images
+                                       for v in b.points}):
+            assert inst.strongly_dominates(j, q, 1 / 7, 0) == \
+                inst.strong_slack(j, q, 1 / 7, 0)[0]
+        membership_vp(inst, 1, 1 / 7, VP_MIN, tol=0)
