@@ -35,14 +35,8 @@ def _load(args) -> instance_mod.Instance:
 
 
 def _parse_weights(text: str, exact: bool):
-    vectors = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        vectors.append(tuple(parse_number(v.strip(), exact)
-                             for v in chunk.split(",")))
-    return vectors
+    return [tuple(parse_number(v.strip(), exact) for v in chunk.split(","))
+            for chunk in map(str.strip, text.split(";")) if chunk]
 
 
 def _cmd_example(args) -> int:
@@ -172,11 +166,17 @@ def _cmd_verify(args) -> int:
     for check in report.checks:
         status = "PASS" if check.passed else ("FAIL" if check.hard else "SOFT")
         print(f"[{status}] {check.name} ({check.instance_id})")
+    return _summary(report, args.out)
+
+
+def _summary(report, out) -> int:
+    """Print the check counts, write the report to ``out`` if given, and
+    return the exit code: 1 on a hard failure."""
     hard = len(report.hard_failures)
     print(f"{len(report.checks)} checks, {hard} hard failures, "
           f"{len(report.soft_findings)} soft findings")
-    if args.out:
-        _write_json(report.to_json_dict(), args.out)
+    if out:
+        _write_json(report.to_json_dict(), out)
     return 1 if hard else 0
 
 
@@ -189,12 +189,7 @@ def _cmd_convex_exp(args) -> int:
             ratio = check.counterexample["ratio"]
             print(f"{check.instance_id}: agreement={ratio:.3f} "
                   f"disagreeing={check.counterexample['disagreeing']}")
-    hard = len(report.hard_failures)
-    print(f"{len(report.checks)} checks, {hard} hard failures, "
-          f"{len(report.soft_findings)} soft findings")
-    if args.out:
-        _write_json(report.to_json_dict(), args.out)
-    return 1 if hard else 0
+    return _summary(report, args.out)
 
 
 def _cmd_plot(args) -> int:
@@ -322,10 +317,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SetoptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SetoptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,14 +14,14 @@ values compared within tol.  A target, like each of those rows, costs
 one int conversion with no ``Fraction`` arithmetic (``_target``):
 scaled to ints over its least common denominator, dotted with the
 cone's rows ``a_j / a_j.e`` kept as ints over one denominator, and
-reduced by one gcd.  A polytope keeps its two linear programs, the
-point margin and the strong slack, prepared once on the cone products
-``a_j.v`` of its vertices (``lp``); a target changes only their
-right-hand side ``-A.t``.  On rational data it also keeps its vertices'
-int rows and their least value per row, so at tol 0 ``_vertex_bounds``
-puts a point margin between the best vertex margin and the ideal
-point's with no program (Gerth & Weidner, JOTA 67, 1990); ``Instance``
-solves one only where they leave a verdict open or a certificate needs
+reduced by one gcd.  A polytope keeps the cone products ``a_j.v`` of
+its vertices, and builds each of its two linear programs, the point
+margin and the strong slack, on its first solve (``lp``); a target
+changes only their right-hand side ``-A.t``.  ``Instance`` keeps the
+int rows of every image and the ideal point of each polytope, so at
+tol 0 a point margin lies between the best vertex margin and the ideal
+point's with no program (Gerth & Weidner, JOTA 67, 1990), and solves
+one only where they leave a verdict open or a certificate needs
 multipliers.  An image keeps this data for the last cone asked.
 Extreme-point pruning sweeps the hull (Andrew's monotone chain) for
 exact planar vertex lists and solves one linear program per vertex
@@ -101,7 +101,7 @@ def polytope(vertices) -> ImageSet:
 
 
 class _Margins:
-    """The margin kernel of finite images and vertex lists: for a target
+    """The margin kernel of finite images: for a target
     ``q``, a point or the index of one of the image's points, ``margins``
     yields ``margin(y, q)`` for each point ``y``, lazily and in image
     order; ``positions`` are the points' positions and ``t`` that of
@@ -115,8 +115,6 @@ class _Margins:
     def __init__(self, image: ImageSet, cone: Cone, q, tol):
         own = isinstance(q, int)
         coords = None if tol else _cone_products(image, cone)
-        if image.kind == POLYTOPE:
-            coords = coords and coords[4]
         self.tol, self.e, self.den = tol, cone.e, None
         if coords is None or not (own or all(map(is_exact, q))):
             q = self.t = image.points[q] if own else q
@@ -125,7 +123,7 @@ class _Margins:
             return
         rows, den, coef = coords
         t, d = (rows[q], 1) if own else _target(q, coef, den)
-        self.den, self.t, self.d = den * d, t, d
+        self.den, self.t = den * d, t
         self.positions = rows if d == 1 else (  # each scaled when read
             tuple([d * v for v in w]) for w in rows)
         self.margins = ((min(map(sub, t, w)) for w in rows) if d == 1 else
@@ -148,20 +146,6 @@ class _Margins:
 
     def value(self, m) -> Num:
         return m if self.den is None else Fraction(m, self.den)
-
-
-def _vertex_bounds(image: ImageSet, cone: Cone, q, tol):
-    """``(lb, ub, below)`` for a polytope at tol 0 on rational data, else
-    None: ``lb <= point_margin(q) <= ub``, the best vertex margin and the
-    ideal point's, and for a vertex index ``q``, whether another vertex
-    lies K-below it."""
-    scan = None if tol or image.is_finite else _Margins(image, cone, q, 0)
-    if scan is None or scan.den is None:
-        return None
-    ms, ideal = list(scan.margins), _cone_products(image, cone)[5]
-    ub = min([a - scan.d * b for a, b in zip(scan.t, ideal)])
-    below = isinstance(q, int) and sum(m >= 0 for m in ms) > 1  # own: 0
-    return scan.value(max(ms)), scan.value(ub), below
 
 
 def min_elements(image: ImageSet, cone: Cone, weak: bool = False,
@@ -220,7 +204,7 @@ def point_margin_with_witness(b: Vec, image: ImageSet, cone: Cone,
         ms = list(scan.margins)
         best = max(ms)
         return scan.value(best), image.points[ms.index(best)]
-    prog, _, rows, ints = _cone_products(image, cone)[:4]
+    prog, rows, ints = _program(image, cone, slack=False)
     prog = prog._with_ge_rhs(_neg_dots(rows, ints, b)[:-1])
     out = lp_maximize(prog, tol=tol)
     if not out.is_optimal:
@@ -248,7 +232,7 @@ def strong_membership_slack(target: Vec, image: ImageSet, cone: Cone,
                  None)
         return (False, None, None) if a is None else (True, a, None)
     target = vsub(target, vscale(eps, cone.e))
-    _, prog, rows, ints = _cone_products(image, cone)[:4]
+    prog, rows, ints = _program(image, cone, slack=True)
     *rhs, neg_total = _neg_dots(rows, ints, target)
     out = lp_maximize(prog._with_ge_rhs(tuple(rhs)), tol=tol)
     if not out.is_optimal:
@@ -273,16 +257,14 @@ def dominators(image: ImageSet, cone: Cone, q: Vec, eps: Num, tol,
 
 
 def _cone_products(image: ImageSet, cone: Cone):
-    """A polytope's ``(margin, slack, rows, ints, coords, ideal)``: the
-    programs of ``point_margin_with_witness`` and
-    ``strong_membership_slack`` for the target 0, whose right-hand side
-    ``-A.t`` is all a target changes, the rows ``a_1, ..., a_J, sum_j
-    a_j``, those as ints, its vertices' coordinates as below and their
-    least per row, the ideal point (None unless all is rational).
-    A finite image's ``(rows, den, coef)``, None unless all is rational:
-    ``rows[i][j] / den = a_j.y_i / a_j.e`` in ints, each row converted by
-    ``_target``, and ``coef = (crows, c)`` with ``crows[j] / c = a_j /
-    a_j.e`` in ints.  Kept for the cone last asked."""
+    """A polytope's ``[rows, ints, slack_rows, objective, margin, slack]``:
+    the rows ``a_1, ..., a_J, sum_j a_j``, those as ints, ``-r.v`` for
+    each row ``r`` and vertex ``v``, and the slots of the programs
+    ``_program`` builds.  A finite image's ``(rows, den, coef)``, None
+    unless all is rational: ``rows[i][j] / den = a_j.y_i / a_j.e`` in
+    ints, each row converted by ``_target``, and ``coef = (crows, c)``
+    with ``crows[j] / c = a_j / a_j.e`` in ints.  Kept for the cone last
+    asked."""
     kept = image._products
     if kept is None or kept[0] is not cone:
         kept = (cone, (_coordinates if image.is_finite else _products)(
@@ -291,35 +273,32 @@ def _cone_products(image: ImageSet, cone: Cone):
     return kept[1]
 
 
-def _products(verts, cone) -> tuple:
-    k = len(verts)
+def _products(verts, cone) -> list:
     rows = (*cone.rows, tuple(sum(col) for col in zip(*cone.rows)))
     # each row as (ints, den), row = ints / den, when all is rational
     ints = ([(ints_over(r, den), den) for r in rows for den in [lcd(r)]]
             if all(is_exact(v) for r in rows for v in r) else None)
     *slack_rows, objective = zip(*(_neg_dots(rows, ints, v) for v in verts))
-    zeros = (0,) * len(cone.rows)
-    # max eps  s.t.  sum(lam) = 1,  A(b - eps*e - V lam) >= 0,  lam >= 0
-    margin = LinearProgram(
-        objective=(1,) + (0,) * k,
-        eq_lhs=((0,) + (1,) * k,),
-        eq_rhs=(1,),
-        ge_lhs=tuple((-de,) + r for de, r in zip(cone.row_e, slack_rows)),
-        ge_rhs=zeros,
-        lower_bounds=(None,) + (0,) * k,
-    )
-    # max sum_j a_j.(t - V lam) - total.t  over the same system, lam >= 0
-    slack = LinearProgram(
-        objective=objective,
-        eq_lhs=((1,) * k,),
-        eq_rhs=(1,),
-        ge_lhs=tuple(slack_rows),
-        ge_rhs=zeros,
-        lower_bounds=(0,) * k,
-    )
-    coords = _coordinates(verts, cone)
-    return (margin, slack, rows, ints, coords,
-            coords and tuple(map(min, zip(*coords[0]))))
+    return [rows, ints, tuple(slack_rows), objective, None, None]
+
+
+def _program(image: ImageSet, cone: Cone, slack: bool):
+    """``(program, rows, ints)``: the polytope's strong-slack program
+    (else its point-margin program) for the target 0, whose right-hand
+    side ``-A.t`` is all a target changes, built on its first solve."""
+    kept = _cone_products(image, cone)
+    if kept[4 + slack] is None:
+        k, free = len(image.points), () if slack else (None,)  # eps free
+        # margin: max eps  s.t.  sum(lam) = 1,  A(b - eps*e - V lam) >= 0,
+        # lam >= 0;  slack: max sum_j a_j.(t - V lam) - total.t  s.t.
+        # sum(lam) = 1,  A(t - V lam) >= 0,  lam >= 0
+        kept[4 + slack] = LinearProgram(
+            objective=kept[3] if slack else (1,) + (0,) * k,
+            eq_lhs=((0,) * len(free) + (1,) * k,), eq_rhs=(1,),
+            ge_lhs=kept[2] if slack else tuple(
+                (-de,) + r for de, r in zip(cone.row_e, kept[2])),
+            ge_rhs=(0,) * len(cone.rows), lower_bounds=free + (0,) * k)
+    return kept[4 + slack], kept[0], kept[1]
 
 
 def _neg_dots(rows, ints, v) -> tuple:
@@ -366,12 +345,8 @@ def minimal_vertices(image: ImageSet, cone: Cone, tol=None) -> tuple:
     of their own polytope."""
     if image.is_finite:
         raise ValidationError("minimal_vertices expects a polytope image")
-    kept = []
-    for v in image.points:
-        holds, _, _ = strong_membership_slack(v, image, cone, tol)
-        if not holds:
-            kept.append(v)
-    return tuple(kept)
+    return tuple(v for v in image.points
+                 if not strong_membership_slack(v, image, cone, tol)[0])
 
 
 def directed_hausdorff_sq(points_a, points_b) -> Num:
@@ -436,14 +411,9 @@ def cover_by_sq_radius(points, radius_sq: Num, exact_cap: int = EXACT_COVER_CAP,
 
 
 def _greedy_cover(cover, n):
-    uncovered = set(range(n))
-    chosen = []
-    while uncovered:
-        best, best_gain = None, -1
-        for i in range(n):
-            gain = len(cover[i] & uncovered)
-            if gain > best_gain:
-                best, best_gain = i, gain
+    uncovered, chosen = set(range(n)), []
+    while uncovered:  # the first center of largest gain
+        best = max(range(n), key=lambda i: len(cover[i] & uncovered))
         chosen.append(best)
         uncovered -= cover[best]
     return chosen
@@ -476,15 +446,16 @@ def _exact_cover(cover, n, incumbent):
 def prune_to_extreme(vertices, tol=None) -> tuple:
     """Drop duplicates and every point expressible as a convex
     combination of the others (idempotent), keeping the input order."""
-    pts = list(dict.fromkeys(tuple(p) for p in vertices))
+    pts = [tuple(p) for p in vertices]
     if not pts:
         raise EmptyImage("vertex list must be nonempty")
-    if len(pts) == 1:
-        return tuple(pts)
     coords = [v for p in pts for v in p]
     tol = resolve_tol(tol, *coords)
     if tol == 0 and len(pts[0]) == 2 and all(map(is_exact, coords)):
         return _planar_extreme(pts)
+    pts = list(dict.fromkeys(pts))
+    if len(pts) == 1:
+        return tuple(pts)
     kept = []
     for idx, p in enumerate(pts):
         others = [q for j, q in enumerate(pts) if j != idx]
@@ -494,39 +465,33 @@ def prune_to_extreme(vertices, tol=None) -> tuple:
 
 
 def _planar_extreme(pts) -> tuple:
-    """The vertices of the hull of distinct rational planar points, in
-    input order: Andrew's monotone chain, dropping collinear points."""
-    order = sorted(pts)
+    """The vertices of the hull of rational planar points, each once, in
+    input order: Andrew's monotone chain on the points as ints over their
+    common denominator, dropping repeats and collinear points."""
+    den, first = lcd(chain(*pts)), {}
+    for p in pts:  # each distinct point as ints, at its first occurrence
+        first.setdefault(ints_over(p, den), p)
+    order = sorted(first)
 
-    def chain(seq):
+    def sweep(seq):
         out = []
-        for c in seq:
+        for cx, cy in seq:
             while len(out) >= 2:
                 (ax, ay), (bx, by) = out[-2], out[-1]
-                if (bx - ax) * (c[1] - ay) - (by - ay) * (c[0] - ax) > 0:
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0:
                     break
                 out.pop()
-            out.append(c)
+            out.append((cx, cy))
         return out[:-1]
 
-    hull = set(chain(order) + chain(order[::-1]))
-    return tuple(p for p in pts if p in hull)
+    hull = set(sweep(order) + sweep(order[::-1])) or set(order)  # or one
+    return tuple(p for z, p in first.items() if z in hull)
 
 
 def _in_hull(p, others, tol) -> bool:
-    k = len(others)
-    m = len(p)
-    eq_lhs = [(1,) * k]
-    eq_rhs = [1]
-    for d in range(m):
-        eq_lhs.append(tuple(q[d] for q in others))
-        eq_rhs.append(p[d])
-    prog = LinearProgram(
-        objective=(0,) * k,
-        eq_lhs=tuple(eq_lhs),
-        eq_rhs=tuple(eq_rhs),
-        lower_bounds=(0,) * k,
-    )
+    k = len(others)  # sum(lam) = 1 and V lam = p, lam >= 0
+    prog = LinearProgram(objective=(0,) * k, eq_lhs=((1,) * k, *zip(*others)),
+                         eq_rhs=(1, *p), lower_bounds=(0,) * k)
     return lp_feasible(prog, tol=tol).feasible
 
 

@@ -11,6 +11,7 @@ test families.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -24,7 +25,7 @@ from .arith import (Num, div, dot, format_vector, ge, is_exact,
 from .cone import Cone, validate_cone
 from .errors import (DimMismatch, DuplicateLabel, EmptyImage, ParseError,
                      ValidationError)
-from .imagesets import (FINITE, POLYTOPE, ImageSet, _vertex_bounds,
+from .imagesets import (FINITE, POLYTOPE, ImageSet, _coordinates, _target,
                         cover_by_sq_radius, finite_set, hausdorff_sq,
                         min_elements, point_margin_with_witness, polytope,
                         prune_to_extreme, strong_membership_slack)
@@ -46,9 +47,10 @@ class Instance:
     images: tuple               # ImageSet, ... parallel to decisions
     metadata: dict = field(default_factory=dict, hash=False)
     exact: bool = False
-    # tol -> [point margins per image, pools, set margins, polytope strong
-    # slacks per image], made on first use; the fields they derive from
-    # are immutable, so none goes stale
+    # tol -> [point margins per image, pools (positions, points), set
+    # margins, polytope strong slacks per image] and the points by position
+    # with their int table (``_points``, ``_ints``), made on first use; the
+    # fields they derive from are immutable, so none goes stale
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -74,13 +76,54 @@ class Instance:
         return self.images[self.index_of(label)]
 
     def _tables(self, tol):
-        """[point margins per image, pools, set margins, strong slacks
-        per image] at tol."""
         tables = self._memo.get(tol)
         if tables is None:
             tables = self._memo[tol] = [[{} for _ in self.images], {}, None,
                                         [{} for _ in self.images]]
         return tables
+
+    @functools.cached_property
+    def _first(self) -> tuple:
+        """Where each image's points start in ``_points``, and the end."""
+        return tuple(itertools.accumulate(
+            (len(img.points) for img in self.images), initial=0))
+
+    @functools.cached_property
+    def _points(self) -> tuple:
+        """Every point of every image by position, images in order."""
+        return tuple(itertools.chain(*(img.points for img in self.images)))
+
+    @functools.cached_property
+    def _ints(self):
+        """``(rows, den, coef, per, ideals)`` on rational data, else None:
+        ``rows[g][j] / den = a_j.y / a_j.e`` in ints for the point at
+        position ``g`` (``_coordinates``), each image's rows, and their
+        least value per row (a polytope's ideal point)."""
+        got = _coordinates(self._points, self.cone)
+        per = got and [got[0][a:b] for a, b in zip(self._first,
+                                                   self._first[1:])]
+        return got and (*got, per, [tuple(map(min, zip(*r))) for r in per])
+
+    def _bar(self, eps, tol):
+        """``(eps * den, ceil, floor)`` on the int table at tol 0, or None."""
+        if not tol and self._ints:
+            shift = Fraction(eps) * self._ints[1]
+            return shift, math.ceil(shift), math.floor(shift)
+
+    def _bounds(self, j, q, bar):
+        """``(lb, ub, lo, hi)`` in ints over ``d * den`` for the position or
+        point ``q`` against polytope ``j``: the best vertex margin and the
+        ideal point's, ``lb <= point_margin(q) <= ub`` (Gerth & Weidner,
+        JOTA 67, 1990), and eps rounded up and down; None for a float point."""
+        rows, den, coef, per, ideals = self._ints
+        if not (isinstance(q, int) or all(map(is_exact, q))):
+            return None
+        z, d = (rows[q], 1) if isinstance(q, int) else _target(q, coef, den)
+        gap = ((lambda w: min(map(operator.sub, z, w))) if d == 1 else
+               (lambda w: min([a - d * b for a, b in zip(z, w)])))
+        lo, hi = bar[1:] if d == 1 else (math.ceil(bar[0] * d),
+                                         math.floor(bar[0] * d))
+        return max(map(gap, per[j])), gap(ideals[j]), lo, hi
 
     def point_margin(self, j: int, point: tuple, tol):
         """``point_margin_with_witness`` of ``point`` against image ``j``,
@@ -107,46 +150,51 @@ class Instance:
                 point, img, self.cone, tol, eps)
         return got
 
-    def _bits(self, j: int, points, eps, tol, weak: bool) -> tuple:
-        """``vectorizer._table``'s bitmasks of ``points`` against polytope
-        ``j``: those whose point margin is ``> eps`` (``weak``) or ``>=
-        eps`` within tol, read off its vertex bounds when both agree and
-        else off the stored margin, and for the min kind those of them it
-        strongly dominates (0 for the weak kind)."""
-        cmp, bar = ((operator.gt, eps + tol) if weak else
-                    (operator.ge, eps - tol))
-        img, d, x = self.images[j], 0, 0
-        for i, q in enumerate(points):
-            b = _vertex_bounds(img, self.cone, q, tol)
-            if b is None or cmp(b[0], bar) != cmp(b[1], bar):
-                b = self.point_margin(j, q, tol)
-            if cmp(b[0], bar):
+    def _bits(self, j: int, targets, eps, tol, weak: bool) -> tuple:
+        """``vectorizer._table``'s bitmasks of ``targets`` (positions or
+        points) against polytope ``j``: those whose point margin is ``>
+        eps`` (``weak``) or ``>= eps`` within tol, off its vertex bounds
+        when both agree and else off the stored margin, and for the min
+        kind those of them it strongly dominates (0 for the weak kind)."""
+        bar, d, x = self._bar(eps, tol), 0, 0
+        for i, q in enumerate(targets):
+            b = bar and self._bounds(j, q, bar)
+            cut = b and (b[3] + 1 if weak else b[2])  # a margin clears it
+            if b and (b[0] >= cut) == (b[1] >= cut):
+                hit = b[0] >= cut
+            else:
+                p = self._points[q] if isinstance(q, int) else q
+                mu = self.point_margin(j, p, tol)[0]
+                hit = mu > eps + tol if weak else mu >= eps - tol
+            if hit:
                 d |= 1 << i
                 if not weak:
                     x |= self.strongly_dominates(j, q, eps, tol) << i
         return d, x
 
-    def strongly_dominates(self, j: int, point: tuple, eps, tol) -> bool:
+    def strongly_dominates(self, j: int, q, eps, tol) -> bool:
         """Whether ``point - eps*e`` lies in image ``j`` plus K minus the
-        origin, i.e. ``strong_slack(j, point, eps, tol)[0]``.  A finite
-        image reads it off the stored point margin ``(mu, w)``: false when
-        ``mu < eps`` within tol, true when ``w`` is not the shifted point,
-        and only at that tie does it scan.  In exact arithmetic (``mu``
-        rational, tol 0) ``w`` is the shifted point only if ``mu == eps``,
-        so the point is built only then.  An exact polytope at an exact
-        eps reads it off its vertex bounds ``lb <= mu <= ub``, else off
-        the stored margin if ``lb < eps``, and solves its strong-slack
-        program at a tie."""
-        img = self.images[j]
-        if not img.is_finite:
-            # no bounds, or a float eps that the program shifts by in
-            # floats: as at a tie, by the program
-            lb, ub, _ = (is_exact(eps) and _vertex_bounds(
-                img, self.cone, point, tol) or (eps, eps, False))
-            m = (lb if lb >= eps or ub < eps else
-                 self.point_margin(j, point, tol)[0])
-            return m > eps if m != eps else self.strong_slack(
-                j, point, eps, tol)[0]
+        origin (``strong_slack(j, point, eps, tol)[0]``), for the point or
+        position ``q``.  A finite image reads its stored point margin
+        ``(mu, w)``: false when ``mu < eps`` within tol, true when ``w`` is
+        not the shifted point (in exact arithmetic, when ``mu != eps``),
+        and it scans only at that tie.  A polytope reads a stored strong
+        slack, else at an exact eps its vertex bounds ``lb <= mu <= ub``,
+        else its stored margin, and solves its program only at a tie (or
+        at a float eps, which the program shifts by in floats)."""
+        point = self._points[q] if isinstance(q, int) else q
+        if not self.images[j].is_finite:
+            got = self._tables(tol)[3][j].get((point, eps))
+            bar = got is None and is_exact(eps) and self._bar(eps, tol)
+            lb, ub, lo, hi = (bar and self._bounds(j, q, bar)
+                              or (0,) * 4)  # no bounds: as at a tie
+            if lb > hi or ub < lo:
+                return lb > hi
+            if not lb == lo == hi:  # lb < eps <= ub
+                mu = self.point_margin(j, point, tol)[0]
+                if mu != eps:
+                    return mu > eps
+            return (got or self.strong_slack(j, point, eps, tol))[0]
         mu, w = self.point_margin(j, point, tol)
         if not ge(mu, eps, tol):
             return False
@@ -165,38 +213,47 @@ class Instance:
         those whose bounds differ solve a program."""
         tables = self._tables(tol)
         if tables[2] is None:
-            tables[2] = [[self._set_margin(i, img.points, tol)
-                          for img in self.images]
-                         for i in range(len(self.images))]
+            k = range(len(self.images))
+            tables[2] = [[self._set_margin(i, b, tol) for b in k] for i in k]
         return tables[2]
 
-    def _set_margin(self, i, points, tol):
-        if self.images[i].is_finite:
+    def _set_margin(self, i, k, tol):
+        points = self.images[k].points
+        if self.images[i].is_finite or not (bar := self._bar(0, tol)):
             return min(self.point_margin(i, p, tol)[0] for p in points)
-        low, none = math.inf, (-math.inf, math.inf, False)  # no bounds
-        for (lb, ub, _), p in sorted(
-                ((_vertex_bounds(self.images[i], self.cone, p, tol) or none,
-                  p) for p in points), key=lambda bp: bp[0][0]):
+        low, den = math.inf, self._ints[1]  # low: times den
+        bs = [self._bounds(i, g, bar) for g in range(*self._first[k:k + 2])]
+        for (lb, ub, _, _), p in sorted(zip(bs, points),
+                                        key=lambda bp: bp[0][0]):
             if lb >= low:
                 break
-            low = min(low, lb if lb == ub else self.point_margin(i, p, tol)[0])
-        return low
+            low = min(low, lb if lb == ub else
+                      self.point_margin(i, p, tol)[0] * den)
+        return Fraction(low, den)
 
     def pool(self, i: int, tol) -> tuple:
-        """Minimal points of finite image ``i``, or the minimal vertices
-        of a polytope, computed once per tol; none, possible at a positive
-        tol, raises ``ValidationError``."""
+        """Minimal points of finite image ``i``, or a polytope's minimal
+        vertices, once per tol; none (tol > 0) raises ``ValidationError``."""
+        return self._pool(i, tol)[1]
+
+    def _pool(self, i: int, tol) -> tuple:
+        """``(positions, points)`` of ``pool(i, tol)``."""
         pools = self._tables(tol)[1]
         if i not in pools:
             img = self.images[i]
-            # a vertex with another vertex K-below it is not minimal
-            pools[i] = (min_elements(img, self.cone, weak=False, tol=tol)
-                        if img.is_finite else
-                        tuple(v for t, v in enumerate(img.points)
-                              if not ((b := _vertex_bounds(img, self.cone, t,
-                                                           tol)) and b[2])
-                              and not self.strong_slack(i, v, 0, tol)[0]))
-        if not pools[i]:
+            if img.is_finite:  # min_elements returns objects of img.points
+                pos = {id(p): t for t, p in enumerate(img.points)}
+                at = [pos[id(p)] for p in min_elements(img, self.cone,
+                                                       False, tol)]
+            else:  # a vertex with another vertex K-below it is not minimal
+                rows = self._bar(0, tol) and self._ints[3][i]
+                at = [t for t, v in enumerate(img.points) if not (
+                    rows and sum(min(map(operator.sub, rows[t], w)) >= 0
+                                 for w in rows) > 1)
+                      and not self.strong_slack(i, v, 0, tol)[0]]
+            at = tuple(self._first[i] + t for t in at)
+            pools[i] = at, tuple(map(self._points.__getitem__, at))
+        if not pools[i][0]:
             raise ValidationError(f"decision {self.decisions[i].label!r} "
                                   f"has an empty candidate pool at tol {tol}")
         return pools[i]
@@ -323,13 +380,9 @@ def load(path, exact: bool = False, tol=None) -> Instance:
 # Distances and discretization
 # ---------------------------------------------------------------------------
 
-def _require_same_decisions(i1: Instance, i2: Instance):
+def instance_distance_sq(i1: Instance, i2: Instance) -> Num:
     if i1.decisions != i2.decisions:
         raise ValidationError("instances must share the same decision list")
-
-
-def instance_distance_sq(i1: Instance, i2: Instance) -> Num:
-    _require_same_decisions(i1, i2)
     return max(hausdorff_sq(a, b) for a, b in zip(i1.images, i2.images))
 
 
@@ -378,10 +431,6 @@ def _grid(lo: Fraction, hi: Fraction, count: int) -> list:
     return [lo + i * step for i in range(count)]
 
 
-def _label(x: Fraction) -> str:
-    return str(x)
-
-
 def _orthant(exact: bool) -> Cone:
     one = Fraction(1) if exact else 1.0
     zero = Fraction(0) if exact else 0.0
@@ -423,7 +472,7 @@ def _make_t_one(params, exact, tol):
     cone = _orthant(exact)
     decisions, images = [], []
     for x in xs:
-        decisions.append(Decision(_label(x), (_cast(x, exact),)))
+        decisions.append(Decision(str(x), (_cast(x, exact),)))
         verts = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (x, x)]
         images.append(polytope([_cast_vec(v, exact) for v in verts]))
     return build_instance(cone, decisions, images, {}, exact, tol)
@@ -435,7 +484,7 @@ def _make_strict_min(params, exact, tol):
     cone = _orthant(exact)
     decisions, images = [], []
     for x in xs:
-        decisions.append(Decision(_label(x), (_cast(x, exact),)))
+        decisions.append(Decision(str(x), (_cast(x, exact),)))
         images.append(finite_set([_cast_vec((Fraction(0), x), exact)]))
     return build_instance(cone, decisions, images, {}, exact, tol)
 
@@ -475,7 +524,7 @@ def _make_cantor(params, exact, tol):
     decisions, images = [], []
     for t in range(1, T + 1):
         x = Fraction(t - 1, t)
-        decisions.append(Decision(_label(x), (_cast(x, exact),)))
+        decisions.append(Decision(str(x), (_cast(x, exact),)))
         pts = [cantor_point(i, t - 1) for i in range(t)]
         images.append(finite_set([_cast_vec(p, exact) for p in pts]))
     decisions.append(Decision("1", (_cast(Fraction(1), exact),)))
@@ -563,10 +612,9 @@ def _make_convex_polyhedral(params, exact, tol):
     h = [box + abs(anchor[0]), box + abs(anchor[0]),
          box + abs(anchor[1]), box + abs(anchor[1])]
     for _ in range(extra):
-        while True:
+        c = (0, 0)
+        while c == (0, 0):
             c = (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
-            if c != (0, 0):
-                break
         ev = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
         slack = Fraction(rng.randint(1, 3))
         # x ranges over [0, 1]^n, so the max of ev.x is the positive part sum
@@ -575,19 +623,13 @@ def _make_convex_polyhedral(params, exact, tol):
         e_rows.append(ev)
         h.append(max_ex + c[0] * anchor[0] + c[1] * anchor[1] + slack)
 
-    axis = _grid(Fraction(0), Fraction(1), g)
-    if n == 1:
-        grid_points = [(x,) for x in axis]
-    else:
-        grid_points = [(x1, x2) for x1 in axis for x2 in axis]
-
     decisions, images = [], []
-    for xv in grid_points:
+    for xv in itertools.product(_grid(Fraction(0), Fraction(1), g), repeat=n):
         rhs = [h[k] - dot(e_rows[k], xv) for k in range(len(c_rows))]
         verts = halfplane_vertices(c_rows, rhs, 0)
         if not verts:
             continue  # degenerate slice; callers treat skips as reported gaps
-        lab = ";".join(_label(x) for x in xv)
+        lab = ";".join(map(str, xv))
         decisions.append(Decision(lab, _cast_vec(xv, exact)))
         images.append(polytope([_cast_vec(v, exact) for v in verts]))
     if not decisions:

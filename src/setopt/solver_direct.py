@@ -7,9 +7,10 @@ iff no x_i excludes it.  With S[i][k] the largest shift with
 * weak:     S[i][k] > eps (the strict relation holds),
 * type-one: S[i][k] >= eps and S[k][i] < -eps,
 * type-two: the strong relation holds at shift eps, each point of
-  F(x_k) read by ``Instance.strongly_dominates``: off the stored point
-  margin (an exact polytope's vertex bounds first), with a scan or
-  program of F(x_i) only at a tie with the shifted point.
+  F(x_k) read by ``Instance.strongly_dominates`` (by position against a
+  polytope): off the stored point margin (an exact polytope's stored
+  strong slack or vertex bounds first), with a scan or program of F(x_i)
+  only at a tie with the shifted point.
 
 One scan per candidate meets the first such x_i in index order and
 certifies the relation that excludes; the weak and type-one
@@ -106,9 +107,10 @@ def solve_direct(inst: Instance, concept: str, eps: Num = 0,
                 holds = gt(mat[i][j], eps, tol)
             elif concept == TYPE_ONE:
                 holds = ge(mat[i][j], eps, tol) and mat[j][i] < -eps - tol
-            else:
-                holds = all(inst.strongly_dominates(i, t, eps, tol)
-                            for t in images[j].points)
+            else:  # a polytope reads F(x_j) by position
+                holds = all(inst.strongly_dominates(i, t, eps, tol) for t in (
+                    images[j].points if images[i].is_finite else
+                    range(*inst._first[j:j + 2])))
             if holds:
                 break
         else:

@@ -258,17 +258,18 @@ def _witness(inst, j, q, eps, tol, strict=False,
     return ComponentWitness(multipliers=inst.point_margin(j, q, tol)[1])
 
 
-def _table(inst, kind, pool, eps, tol):
-    """Per competitor x_j, the bitmask ``dom[j]`` of the pool indices it
-    dominates at the shift (strictly for the weak kind, weakly for the
-    min kind) and, for the min kind, ``extra[j]`` of those with a witness
-    distinct from the shifted point; ``(dom, None)`` for the weak kind."""
+def _table(inst, kind, idx, eps, tol):
+    """Per competitor x_j, the bitmask ``dom[j]`` of the indices of x_idx's
+    pool it dominates at the shift (strictly for the weak kind, weakly
+    for the min kind) and, for the min kind, ``extra[j]`` of those with a
+    witness distinct from the shifted point; ``(dom, None)`` for the weak
+    kind.  A polytope competitor reads the pool by position."""
     weak = kind == VP_WEAK
-    dom, extra = [], []
+    (at, pool), dom, extra = inst._pool(idx, tol), [], []
     for j, img in enumerate(inst.images):
         d = x = 0
         if img.kind == POLYTOPE:  # most bits settled by vertex bounds
-            d, x = inst._bits(j, pool, eps, tol, weak)
+            d, x = inst._bits(j, at, eps, tol, weak)
         else:
             for i, q in enumerate(pool):
                 mu = inst.point_margin(j, q, tol)[0]
@@ -341,10 +342,7 @@ def _first_survivor(pool_size, kmax, weakdom, extra):
 
 
 def _pad(points, p):
-    pts = list(points)
-    while len(pts) < p:
-        pts.append(pts[0])
-    return tuple(pts[:p])
+    return (tuple(points) + (points[0],) * p)[:p]
 
 
 def _member(inst, idx, pool, chosen, p, dom):
@@ -407,7 +405,7 @@ def membership_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
         if not pr.complete:
             incomplete.append(dec.label)
         pool = pr.points
-        table = _table(inst, kind, pool, eps, tol)
+        table = _table(inst, kind, idx, eps, tol)
         chosen = _search(table, len(pool), p)
         if chosen is None:
             cert = _excluded(inst, idx, pool, p, eps, tol, table)
@@ -431,7 +429,7 @@ def minimal_p(inst: Instance, label: str, eps: Num = 0, kind: str = VP_WEAK,
     idx = inst.index_of(label)
     pool = inst.pool(idx, tol)
     incomplete = not inst.images[idx].is_finite
-    table = _table(inst, kind, pool, eps, tol)
+    table = _table(inst, kind, idx, eps, tol)
     chosen = _search(table, len(pool), None)
     if chosen is None:
         # a weak-kind competitor strictly dominating the whole pool

@@ -11,9 +11,10 @@ import pytest
 from setopt.cone import validate_cone
 from setopt.errors import (DimMismatch, DuplicateLabel, EmptyImage,
                            NotInterior, ParseError, ValidationError)
-from setopt.imagesets import (_cone_products, _target, _vertex_bounds,
-                              finite_set, min_elements, polytope,
-                              question_tol, strong_membership_slack)
+import setopt.imagesets
+from setopt.imagesets import (_in_hull, _target, finite_set, min_elements,
+                              polytope, prune_to_extreme, question_tol,
+                              strong_membership_slack)
 from setopt.instance import (Decision, Instance, build_instance,
                              cantor_limit_point, cantor_point, discretize_map,
                              from_json_dict, halfplane_vertices,
@@ -21,7 +22,7 @@ from setopt.instance import (Decision, Instance, build_instance,
                              make_example, save, to_json_dict)
 from setopt.setrelations import LOWER_STRONG, set_relation
 from setopt.solver_direct import TYPE_TWO, WEAK, solve_direct
-from setopt.vectorizer import VP_MIN, membership_vp
+from setopt.vectorizer import VP_MIN, VP_WEAK, _table, membership_vp
 
 
 def test_round_trip_exact(tmp_path):
@@ -261,6 +262,14 @@ def test_bad_image_type_named_in_parse_error():
         })
 
 
+def _built(inst) -> dict:
+    """The prepared programs of ``inst``'s polytopes, by (image, kind)."""
+    return {(i, kind): prog for i, img in enumerate(inst.images)
+            if not img.is_finite and img._products is not None
+            for kind, prog in zip(("margin", "slack"), img._products[1][4:])
+            if prog is not None}
+
+
 def test_polytope_programs_live_and_die_with_their_instance(tmp_path):
     # every prepared program hangs off its image, and nothing else holds
     # the image, its cone or the instance once the caller lets go
@@ -271,14 +280,85 @@ def test_polytope_programs_live_and_die_with_their_instance(tmp_path):
     solve_direct(inst, WEAK)
     solve_direct(inst, TYPE_TWO)
     membership_vp(inst, 1, 0, VP_MIN)
-    kept = [img._products for img in inst.images]
-    assert all(k is not None and k[0] is inst.cone for k in kept)
+    assert all(img._products[0] is inst.cone for img in inst.images
+               if img._products is not None)
+    programs = list(_built(inst).values())
+    assert {kind for _, kind in _built(inst)} == {"margin", "slack"}
     refs = [weakref.ref(x) for x in (inst, inst.cone, *inst.images,
-                                     *(prog for k in kept
-                                       for prog in k[1][:2]))]
-    del inst, kept
+                                     *programs)]
+    del inst, programs
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_polytope_programs_are_built_on_first_solve(tmp_path, monkeypatch):
+    # a cold weak question builds exactly the programs it solves, one per
+    # (image, program kind), and none that it does not
+    path = tmp_path / "poly.json"
+    save(make_example("convex_polyhedral", {"seed": 5, "g": 5, "n": 1},
+                      exact=True), path)
+    inst = load(path, exact=True)
+    solved = []
+
+    def recorded(prog, tol=None):
+        solved.append(prog._matrix)  # shared with the prepared program
+        return real(prog, tol)
+
+    real = setopt.imagesets.lp_maximize
+    monkeypatch.setattr(setopt.imagesets, "lp_maximize", recorded)
+    assert _built(inst) == {}
+    solve_direct(inst, WEAK)
+    built = _built(inst)
+    assert {id(m) for m in solved} == {id(p._matrix) for p in built.values()}
+    assert 0 < len(built) < 2 * len(inst.images)
+
+
+def _lp_prune(points):
+    """Reference filter: one LP per distinct point, which stays unless
+    it lies in the hull of the others."""
+    distinct = list(dict.fromkeys(points))
+    return tuple(p for i, p in enumerate(distinct)
+                 if len(distinct) == 1 or
+                 not _in_hull(p, distinct[:i] + distinct[i + 1:], 0))
+
+
+def test_load_prunes_hand_written_vertex_lists(tmp_path):
+    # a file can hold any vertex list: repeats, interior points, points
+    # on an edge, mixed denominators and negative rationals are pruned on
+    # load to the LP filter's vertices in input order, and pruning again
+    # changes nothing
+    rng = random.Random(29)
+
+    def rational():
+        return F(rng.randint(-30, 30), rng.choice((1, 2, 3, 5, 7, 12)))
+
+    lists = []
+    for _ in range(40):
+        corners = [(rational(), rational()) for _ in range(rng.randint(1, 6))]
+        points = list(corners)
+        for _ in range(rng.randint(0, 6)):
+            a, b = rng.choice(corners), rng.choice(corners)
+            t = F(rng.randint(0, 9), 9)  # on an edge or a chord
+            points.append(tuple(u + t * (v - u) for u, v in zip(a, b)))
+        points += rng.choices(points, k=rng.randint(0, 3))
+        rng.shuffle(points)
+        lists.append(points)
+    path = tmp_path / "hand.json"
+    path.write_text(json.dumps({
+        "cone": {"rows": [["2", "1"], ["1", "3"]], "e": ["1", "1"]},
+        "decisions": [{"label": str(i), "x": [i]} for i in range(len(lists))],
+        "images": [{"type": "polytope",
+                    "points": [[str(v) for v in p] for p in points]}
+                   for points in lists]}))
+    inst = load(path, exact=True)
+    kinds = collections.Counter()
+    for points, img in zip(lists, inst.images):
+        assert img.points == _lp_prune(points), points
+        assert prune_to_extreme(img.points) == img.points
+        kinds["dropped"] += len(img.points) < len(set(points))
+        kinds["repeats"] += len(set(points)) < len(points)
+    assert load(path, exact=True) == inst
+    assert min(kinds.values()) > 10, kinds
 
 
 def _tie_layouts(rng, cone, eps_grid):
@@ -358,43 +438,76 @@ def _mask(bits) -> int:
     return sum(bit << i for i, bit in enumerate(bits))
 
 
+def _bounds(inst, j, q):
+    """Polytope ``j``'s vertex bounds of target ``q`` as ``Fraction``s,
+    and the ``d`` of ``q``'s int row (1 for a position)."""
+    lb, ub = inst._bounds(j, q, inst._bar(0, 0))[:2]
+    _, den, coef = inst._ints[:3]
+    d = 1 if isinstance(q, int) else _target(q, coef, den)[1]
+    return F(lb, d * den), F(ub, d * den), d
+
+
 def _assert_bounds_agree(inst, fresh, seen):
     """Every bit an exact polytope's vertex bounds settle is the one its
     programs decide, at eps 0, 1/7 and the margin itself, for every
-    vertex of every image and the ``fresh`` points."""
-    targets = list(dict.fromkeys(v for img in inst.images
-                                 for v in img.points)) + fresh
+    point of every image, by position, and the ``fresh`` points; finite
+    images keep their own pools, and every table the vectorizer reads is
+    the programs' and scans' own."""
+    own = {}
+    for g, y in enumerate(inst._points):
+        own.setdefault(y, g)
+    targets = list(own.values()) + fresh
+    points = [inst._points[q] if isinstance(q, int) else q for q in targets]
     for j, img in enumerate(inst.images):
-        _, den, coef = _cone_products(img, inst.cone)[4]
-        mus = [inst.point_margin(j, q, 0)[0] for q in targets]
-        for q, mu in zip(targets, mus):
-            lb, ub, _ = _vertex_bounds(img, inst.cone, q, 0)
+        if img.is_finite:
+            assert inst.pool(j, 0) == min_elements(img, inst.cone)
+            continue
+        mus = [inst.point_margin(j, q, 0)[0] for q in points]
+        for q, p, mu in zip(targets, points, mus):
+            lb, ub, d = _bounds(inst, j, q)
             assert lb <= mu <= ub and (lb < ub or lb == mu)
             # at the tie bits are settled when lb == mu or ub == mu
             assert inst._bits(j, [q], mu, 0, True) == (0, 0)
             if lb < mu == ub:
                 assert inst.strongly_dominates(j, q, mu, 0) == \
-                    inst.strong_slack(j, q, mu, 0)[0]
+                    inst.strong_slack(j, p, mu, 0)[0]
                 seen["lb < mu == ub"] += 1
-            seen["d > 1"] += _target(q, coef, den)[1] > 1
+            seen["d > 1"] += d > 1
             seen["lb == ub"] += lb == ub
             seen["tie settled"] += lb == mu or ub == mu
             seen["0 settled"] += lb > 0 or ub < 0
+            if isinstance(q, int) and any(
+                    b.is_finite and inst._first[k] <= q < inst._first[k + 1]
+                    for k, b in enumerate(inst.images)):
+                seen["finite target"] += 1
         for eps in (0, F(1, 7)):
             assert inst._bits(j, targets, eps, 0, True) == (
                 _mask(mu > eps for mu in mus), 0)
             assert inst._bits(j, targets, eps, 0, False) == (
                 _mask(mu >= eps for mu in mus),
-                _mask(mu > eps or mu == eps and inst.strong_slack(j, q, eps,
+                _mask(mu > eps or mu == eps and inst.strong_slack(j, p, eps,
                                                                   0)[0]
-                      for q, mu in zip(targets, mus)))
+                      for p, mu in zip(points, mus)))
             assert not any(inst.strongly_dominates(j, q, eps, 0)
                            for q, mu in zip(targets, mus) if mu < eps)
-        margin = dict(zip(targets, mus))
+        margin = dict(zip(points, mus))
         assert inst.set_margins(0)[j] == [
             min(map(margin.get, b.points)) for b in inst.images]
         assert inst.pool(j, 0) == tuple(
             v for v in img.points if not inst.strong_slack(j, v, 0, 0)[0])
+    for idx, eps, kind in itertools.product(
+            range(len(inst.images)), (0, F(1, 7)), (VP_WEAK, VP_MIN)):
+        pool = inst.pool(idx, 0)
+        mus = [[inst.point_margin(j, q, 0)[0] for q in pool]
+               for j in range(len(inst.images))]
+        dom = [_mask(mu > eps if kind == VP_WEAK else mu >= eps for mu in row)
+               for row in mus]
+        extra = [_mask(mu >= eps and strong_membership_slack(
+                           q, img, inst.cone, 0, eps)[0]
+                       for q, mu in zip(pool, row))
+                 for img, row in zip(inst.images, mus)]
+        assert _table(inst, kind, idx, eps, 0) == (
+            dom, None if kind == VP_WEAK else extra)
 
 
 def test_vertex_bounds_settle_only_what_the_programs_decide():
@@ -414,8 +527,8 @@ def test_vertex_bounds_settle_only_what_the_programs_decide():
         inst = build_instance(cones[seed % 3] or inst.cone, inst.decisions,
                               inst.images)
         _assert_bounds_agree(inst, [
-            tuple(F(rng.randint(-40, 40), rng.randint(2, 7)) for _ in "xy")
-            for _ in range(3)], seen)
+            tuple(F(rng.randint(-40, 40), rng.randint(2, 13)) for _ in "xy")
+            for _ in range(9)], seen)
     space = validate_cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1])
     # (1, 1, -1) has margin 1, that of the ideal point (-4, -2, -2),
     # where no vertex has more than 0, and (1, 1, -1) - e = (0, 0, -2)
@@ -424,7 +537,7 @@ def test_vertex_bounds_settle_only_what_the_programs_decide():
     hand = polytope([tuple(map(F, v)) for v in (
         (-2, 4, 1), (-4, 3, -2), (4, -2, -2), (1, -2, -2), (1, -2, 4))])
     inst = build_instance(space, [("a", (0,))], [hand])
-    assert _vertex_bounds(hand, space, (1, 1, -1), 0)[:2] == (0, 1)
+    assert _bounds(inst, 0, (1, 1, -1))[:2] == (0, 1)
     assert inst.strongly_dominates(0, (F(1), F(1), F(-1)), 1, 0)
     _assert_bounds_agree(inst, [(F(1), F(1), F(-1))], seen)
     for _ in range(2):
@@ -437,6 +550,29 @@ def test_vertex_bounds_settle_only_what_the_programs_decide():
             tuple(F(rng.randint(-6, 6)) for _ in "xyz") for _ in range(8)],
             seen)
     assert min(seen.values()) > 5 and seen["d > 1"] > 1000, seen
+
+
+def test_mixed_images_read_finite_pools_by_position():
+    # instances mixing finite and polytope images: a finite pool is read
+    # by position against polytope competitors, and fresh targets go
+    # through _target; every bit, set margin, pool and table is the
+    # programs' answer
+    rng = random.Random(43)
+    cones = [None] + [validate_cone(rows, e) for rows, e in GOLDEN_CONES]
+    seen = collections.Counter()
+    for seed in range(12):
+        inst = make_example("convex_polyhedral",
+                            {"seed": seed, "n": 1, "g": 4}, exact=True)
+        images = [img if t % 2 else finite_set(
+            list(img.points) + [tuple(F(rng.randint(-30, 30), rng.randint(
+                1, 5)) for _ in "xy") for _ in range(rng.randint(0, 4))])
+            for t, img in enumerate(inst.images)]
+        inst = build_instance(cones[seed % 3] or inst.cone, inst.decisions,
+                              images)
+        _assert_bounds_agree(inst, [
+            tuple(F(rng.randint(-40, 40), rng.randint(2, 11)) for _ in "xy")
+            for _ in range(3)], seen)
+    assert min(seen.values()) > 5 and seen["finite target"] > 100, seen
 
 
 def test_float_shift_of_exact_polytopes_stays_with_the_program():
