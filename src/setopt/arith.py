@@ -34,7 +34,8 @@ def div(a: Num, b: Num) -> Num:
 
 
 def resolve_tol(tol, *samples: Num) -> Num:
-    """``tol``, else 0 when all ``samples`` are rational and ``DEFAULT_TOL``
+    """``tol``, any zero as the int 0 (``b - 0.0`` would round an exact
+    ``b``), else 0 when all ``samples`` are rational and ``DEFAULT_TOL``
     otherwise.  A question is exact only when its cone, its images and its
     own numbers are all rational: it resolves by ``imagesets.question_tol``.
     An explicit ``tol`` must be a finite number ``>= 0``."""
@@ -43,7 +44,7 @@ def resolve_tol(tol, *samples: Num) -> Num:
                 or not 0 <= tol < math.inf):
             raise ValidationError(
                 f"tol must be a finite number >= 0, got {tol!r}")
-        return tol
+        return tol or 0
     return 0 if all(is_exact(s) for s in samples) else DEFAULT_TOL
 
 

@@ -17,12 +17,13 @@ cone's rows ``a_j / a_j.e`` kept as ints over one denominator, and
 reduced by one gcd.  A polytope keeps the cone products ``a_j.v`` of
 its vertices, and builds each of its two linear programs, the point
 margin and the strong slack, on its first solve (``lp``); a target
-changes only their right-hand side ``-A.t``.  ``Instance`` keeps the
-int rows of every image and the ideal point of each polytope, so at
-tol 0 a point margin lies between the best vertex margin and the ideal
-point's with no program (Gerth & Weidner, JOTA 67, 1990), and solves
-one only where they leave a verdict open or a certificate needs
-multipliers.  An image keeps this data for the last cone asked.
+changes only their right-hand side ``-A.t``.  ``Instance`` asks them
+only about its own points, read by position, and keeps their int rows
+and each polytope's ideal point, so at tol 0 a point margin lies
+between the best vertex margin and the ideal point's with no program
+(Gerth & Weidner, JOTA 67, 1990), and solves one only where they leave
+a verdict open or a certificate needs multipliers.  An image keeps
+this data for the last cone asked.
 Extreme-point pruning sweeps the hull (Andrew's monotone chain) for
 exact planar vertex lists and solves one linear program per vertex
 otherwise.  ``question_tol`` resolves every question's default

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arith import (Num, div, dot, format_vector, ge, is_exact,
+from .arith import (Num, div, dot, format_vector, ge, gt, is_exact,
                     parse_number, veq, vscale, vsub)
 from .cone import Cone, validate_cone
 from .errors import (DimMismatch, DuplicateLabel, EmptyImage, ParseError,
                      ValidationError)
-from .imagesets import (FINITE, POLYTOPE, ImageSet, _coordinates, _target,
+from .imagesets import (FINITE, POLYTOPE, ImageSet, _coordinates,
                         cover_by_sq_radius, finite_set, hausdorff_sq,
                         min_elements, point_margin_with_witness, polytope,
                         prune_to_extreme, strong_membership_slack)
@@ -47,10 +47,11 @@ class Instance:
     images: tuple               # ImageSet, ... parallel to decisions
     metadata: dict = field(default_factory=dict, hash=False)
     exact: bool = False
-    # tol -> [point margins per image, pools (positions, points), set
-    # margins, polytope strong slacks per image] and the points by position
-    # with their int table (``_points``, ``_ints``), made on first use; the
-    # fields they derive from are immutable, so none goes stale
+    # tol -> [point margins per competitor in a list by position, pools,
+    # set margins, polytope strong slacks] and the points by position with
+    # their int table (``_points``, ``_ints``), made on first use; the
+    # fields they derive from are immutable, so none goes stale.  Every
+    # method names a point by its position: no outside point reaches them
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -78,8 +79,9 @@ class Instance:
     def _tables(self, tol):
         tables = self._memo.get(tol)
         if tables is None:
-            tables = self._memo[tol] = [[{} for _ in self.images], {}, None,
-                                        [{} for _ in self.images]]
+            n = len(self._points)
+            tables = self._memo[tol] = [[[None] * n for _ in self.images],
+                                        {}, None, {}]
         return tables
 
     @functools.cached_property
@@ -94,117 +96,120 @@ class Instance:
         return tuple(itertools.chain(*(img.points for img in self.images)))
 
     @functools.cached_property
+    def _slot(self) -> tuple:
+        """Per position, the first position holding an equal point: the
+        slot of its stored margins and slacks."""
+        return tuple(map({}.setdefault, self._points, itertools.count()))
+
+    @functools.cached_property
     def _ints(self):
-        """``(rows, den, coef, per, ideals)`` on rational data, else None:
+        """``(rows, den, per, ideals)`` on rational data, else None:
         ``rows[g][j] / den = a_j.y / a_j.e`` in ints for the point at
         position ``g`` (``_coordinates``), each image's rows, and their
         least value per row (a polytope's ideal point)."""
         got = _coordinates(self._points, self.cone)
         per = got and [got[0][a:b] for a, b in zip(self._first,
                                                    self._first[1:])]
-        return got and (*got, per, [tuple(map(min, zip(*r))) for r in per])
+        return got and (*got[:2], per, [tuple(map(min, zip(*r))) for r in per])
 
     def _bar(self, eps, tol):
-        """``(eps * den, ceil, floor)`` on the int table at tol 0, or None."""
+        """``(ceil, floor)`` of ``eps * den`` at tol 0 on rational data."""
         if not tol and self._ints:
             shift = Fraction(eps) * self._ints[1]
-            return shift, math.ceil(shift), math.floor(shift)
+            return math.ceil(shift), math.floor(shift)
 
-    def _bounds(self, j, q, bar):
-        """``(lb, ub, lo, hi)`` in ints over ``d * den`` for the position or
-        point ``q`` against polytope ``j``: the best vertex margin and the
-        ideal point's, ``lb <= point_margin(q) <= ub`` (Gerth & Weidner,
-        JOTA 67, 1990), and eps rounded up and down; None for a float point."""
-        rows, den, coef, per, ideals = self._ints
-        if not (isinstance(q, int) or all(map(is_exact, q))):
-            return None
-        z, d = (rows[q], 1) if isinstance(q, int) else _target(q, coef, den)
-        gap = ((lambda w: min(map(operator.sub, z, w))) if d == 1 else
-               (lambda w: min([a - d * b for a, b in zip(z, w)])))
-        lo, hi = bar[1:] if d == 1 else (math.ceil(bar[0] * d),
-                                         math.floor(bar[0] * d))
-        return max(map(gap, per[j])), gap(ideals[j]), lo, hi
+    def _bounds(self, j, g):
+        """``(lb, ub)`` in ints over ``den`` for the point at position
+        ``g`` against polytope ``j``: the best vertex margin and the ideal
+        point's, ``lb <= point_margin(g) <= ub`` (Gerth & Weidner, JOTA 67,
+        1990)."""
+        rows, _, per, ideals = self._ints
+        z = rows[g]
+        gap = lambda w: min(map(operator.sub, z, w))
+        return max(map(gap, per[j])), gap(ideals[j])
 
-    def point_margin(self, j: int, point: tuple, tol):
-        """``point_margin_with_witness`` of ``point`` against image ``j``,
-        computed once per tol."""
-        margins = self._tables(tol)[0][j]
-        got = margins.get(point)  # one lookup: hashing Fractions is slow
+    def point_margin(self, j: int, g: int, tol):
+        """``point_margin_with_witness`` of the point at position ``g``
+        against image ``j``, computed once per tol."""
+        margins, s = self._tables(tol)[0][j], self._slot[g]
+        got = margins[s]
         if got is None:
-            got = margins[point] = point_margin_with_witness(
-                point, self.images[j], self.cone, tol)
+            got = margins[s] = point_margin_with_witness(
+                self._points[g], self.images[j], self.cone, tol)
         return got
 
-    def strong_slack(self, j: int, point: tuple, eps, tol):
-        """``strong_membership_slack`` of ``point`` shifted by ``eps``
-        against image ``j``: a polytope's computed once per tol, a finite
-        image's scanned on each call (its witness is the first dominator
-        in image order, which no stored quantity names)."""
-        img = self.images[j]
+    def strong_slack(self, j: int, g: int, eps, tol):
+        """``strong_membership_slack`` of the point at position ``g``
+        shifted by ``eps`` against image ``j``: a polytope's computed once
+        per tol, on rational data a float eps apart from the equal rational
+        (the program shifts by it in floats), a finite image's scanned on
+        each call (its witness is the first dominator in image order, which
+        no stored quantity names)."""
+        img, point = self.images[j], self._points[g]
         if img.is_finite:
             return strong_membership_slack(point, img, self.cone, tol, eps)
-        slacks = self._tables(tol)[3][j]
-        got = slacks.get((point, eps))
+        slacks = self._tables(tol)[3]
+        float_shift = isinstance(eps, float) and self._ints is not None
+        key = j, self._slot[g], eps, float_shift
+        got = slacks.get(key)
         if got is None:
-            got = slacks[point, eps] = strong_membership_slack(
-                point, img, self.cone, tol, eps)
+            got = slacks[key] = strong_membership_slack(point, img, self.cone,
+                                                        tol, eps)
         return got
 
-    def _bits(self, j: int, targets, eps, tol, weak: bool) -> tuple:
-        """``vectorizer._table``'s bitmasks of ``targets`` (positions or
-        points) against polytope ``j``: those whose point margin is ``>
-        eps`` (``weak``) or ``>= eps`` within tol, off its vertex bounds
-        when both agree and else off the stored margin, and for the min
-        kind those of them it strongly dominates (0 for the weak kind)."""
-        bar, d, x = self._bar(eps, tol), 0, 0
-        for i, q in enumerate(targets):
-            b = bar and self._bounds(j, q, bar)
-            cut = b and (b[3] + 1 if weak else b[2])  # a margin clears it
+    def _bits(self, j: int, at, eps, tol, weak: bool) -> tuple:
+        """``vectorizer._table``'s bitmasks of the positions ``at`` against
+        image ``j``: those whose point margin is ``> eps`` (``weak``) or
+        ``>= eps`` within tol, off a polytope's vertex bounds when both
+        agree and else off the stored margin, and for the min kind those
+        of them it strongly dominates (0 for the weak kind)."""
+        bar = not self.images[j].is_finite and self._bar(eps, tol)
+        cut = bar and (bar[1] + 1 if weak else bar[0])  # a margin clears it
+        d = x = 0
+        for i, g in enumerate(at):
+            b = bar and self._bounds(j, g)
             if b and (b[0] >= cut) == (b[1] >= cut):
                 hit = b[0] >= cut
             else:
-                p = self._points[q] if isinstance(q, int) else q
-                mu = self.point_margin(j, p, tol)[0]
-                hit = mu > eps + tol if weak else mu >= eps - tol
+                mu = self.point_margin(j, g, tol)[0]
+                hit = gt(mu, eps, tol) if weak else ge(mu, eps, tol)
             if hit:
                 d |= 1 << i
                 if not weak:
-                    x |= self.strongly_dominates(j, q, eps, tol) << i
+                    x |= self.strongly_dominates(j, g, eps, tol) << i
         return d, x
 
-    def strongly_dominates(self, j: int, q, eps, tol) -> bool:
-        """Whether ``point - eps*e`` lies in image ``j`` plus K minus the
-        origin (``strong_slack(j, point, eps, tol)[0]``), for the point or
-        position ``q``.  A finite image reads its stored point margin
-        ``(mu, w)``: false when ``mu < eps`` within tol, true when ``w`` is
-        not the shifted point (in exact arithmetic, when ``mu != eps``),
-        and it scans only at that tie.  A polytope reads a stored strong
-        slack, else at an exact eps its vertex bounds ``lb <= mu <= ub``,
-        else its stored margin, and solves its program only at a tie (or
-        at a float eps, which the program shifts by in floats)."""
-        point = self._points[q] if isinstance(q, int) else q
+    def strongly_dominates(self, j: int, g: int, eps, tol) -> bool:
+        """Whether the point at position ``g`` minus ``eps*e`` lies in
+        image ``j`` plus K minus the origin (``strong_slack(j, g, eps,
+        tol)[0]``).  A finite image reads its stored point margin ``(mu,
+        w)``: false when ``mu < eps`` within tol, true when ``w`` is not
+        the shifted point (in exact arithmetic, when ``mu != eps``), and it
+        scans only at that tie.  A polytope reads, at an exact eps, its
+        vertex bounds ``lb <= mu <= ub``, else its stored margin, and its
+        strong slack only at a tie (or at a float eps, which the program
+        shifts by in floats)."""
         if not self.images[j].is_finite:
-            got = self._tables(tol)[3][j].get((point, eps))
-            bar = got is None and is_exact(eps) and self._bar(eps, tol)
-            lb, ub, lo, hi = (bar and self._bounds(j, q, bar)
-                              or (0,) * 4)  # no bounds: as at a tie
+            bar = is_exact(eps) and self._bar(eps, tol)
+            lb, ub, lo, hi = ((*self._bounds(j, g), *bar) if bar
+                              else (0,) * 4)  # no bounds: as at a tie
             if lb > hi or ub < lo:
                 return lb > hi
             if not lb == lo == hi:  # lb < eps <= ub
-                mu = self.point_margin(j, point, tol)[0]
+                mu = self.point_margin(j, g, tol)[0]
                 if mu != eps:
                     return mu > eps
-            return (got or self.strong_slack(j, point, eps, tol))[0]
-        mu, w = self.point_margin(j, point, tol)
+            return self.strong_slack(j, g, eps, tol)[0]
+        mu, w = self.point_margin(j, g, tol)
         if not ge(mu, eps, tol):
             return False
         if tol == 0 and is_exact(mu):
             if mu != eps:
                 return True
             eps = Fraction(eps)  # exact, as the kernel reads a float eps
-        if not veq(w, vsub(point, vscale(eps, self.cone.e)), tol):
+        if not veq(w, vsub(self._points[g], vscale(eps, self.cone.e)), tol):
             return True
-        return self.strong_slack(j, point, eps, tol)[0]
+        return self.strong_slack(j, g, eps, tol)[0]
 
     def set_margins(self, tol) -> list:
         """``S[i][k] = set_margin(F(x_i), F(x_k))``, computed once per tol.
@@ -218,42 +223,40 @@ class Instance:
         return tables[2]
 
     def _set_margin(self, i, k, tol):
-        points = self.images[k].points
-        if self.images[i].is_finite or not (bar := self._bar(0, tol)):
-            return min(self.point_margin(i, p, tol)[0] for p in points)
+        at = range(*self._first[k:k + 2])
+        if self.images[i].is_finite or not self._bar(0, tol):
+            return min(self.point_margin(i, g, tol)[0] for g in at)
         low, den = math.inf, self._ints[1]  # low: times den
-        bs = [self._bounds(i, g, bar) for g in range(*self._first[k:k + 2])]
-        for (lb, ub, _, _), p in sorted(zip(bs, points),
-                                        key=lambda bp: bp[0][0]):
+        for lb, ub, g in sorted(((*self._bounds(i, g), g) for g in at),
+                                key=lambda b: b[0]):
             if lb >= low:
                 break
             low = min(low, lb if lb == ub else
-                      self.point_margin(i, p, tol)[0] * den)
+                      self.point_margin(i, g, tol)[0] * den)
         return Fraction(low, den)
 
     def pool(self, i: int, tol) -> tuple:
         """Minimal points of finite image ``i``, or a polytope's minimal
         vertices, once per tol; none (tol > 0) raises ``ValidationError``."""
-        return self._pool(i, tol)[1]
+        return tuple(map(self._points.__getitem__, self._pool(i, tol)))
 
     def _pool(self, i: int, tol) -> tuple:
-        """``(positions, points)`` of ``pool(i, tol)``."""
+        """The positions of ``pool(i, tol)``."""
         pools = self._tables(tol)[1]
         if i not in pools:
-            img = self.images[i]
+            img, first = self.images[i], self._first[i]
             if img.is_finite:  # min_elements returns objects of img.points
                 pos = {id(p): t for t, p in enumerate(img.points)}
                 at = [pos[id(p)] for p in min_elements(img, self.cone,
                                                        False, tol)]
             else:  # a vertex with another vertex K-below it is not minimal
-                rows = self._bar(0, tol) and self._ints[3][i]
-                at = [t for t, v in enumerate(img.points) if not (
+                rows = self._bar(0, tol) and self._ints[2][i]
+                at = [t for t in range(len(img.points)) if not (
                     rows and sum(min(map(operator.sub, rows[t], w)) >= 0
                                  for w in rows) > 1)
-                      and not self.strong_slack(i, v, 0, tol)[0]]
-            at = tuple(self._first[i] + t for t in at)
-            pools[i] = at, tuple(map(self._points.__getitem__, at))
-        if not pools[i][0]:
+                      and not self.strong_slack(i, first + t, 0, tol)[0]]
+            pools[i] = tuple(first + t for t in at)
+        if not pools[i]:
             raise ValidationError(f"decision {self.decisions[i].label!r} "
                                   f"has an empty candidate pool at tol {tol}")
         return pools[i]

@@ -67,19 +67,19 @@ def set_relation(a: ImageSet, b: ImageSet, cone: Cone, kind: str,
     if kind == LOWER_STRONG:
         return _relation(
             b, kind, eps,
-            lambda t: strong_membership_slack(t, a, cone, tol, eps))
+            lambda t: strong_membership_slack(b.points[t], a, cone, tol, eps))
     return _margin_relation(
         a, b, cone, kind, eps, tol,
-        lambda t: point_margin_with_witness(t, a, cone, tol))
+        lambda t: point_margin_with_witness(b.points[t], a, cone, tol))
 
 
 def _relation(b: ImageSet, kind: str, eps: Num, slack_of):
-    """``set_relation`` of the kind, from ``slack_of(target)``: for each
-    point of B, ``(holds, witness_point, multipliers)`` against A, as
-    ``strong_membership_slack`` returns them."""
+    """``set_relation`` of the kind, from ``slack_of(t)``: for the point
+    at each position ``t`` of B, ``(holds, witness_point, multipliers)``
+    against A, as ``strong_membership_slack`` returns them."""
     witnesses = []
-    for target in b.points:
-        holds, point, lam = slack_of(target)
+    for t, target in enumerate(b.points):
+        holds, point, lam = slack_of(t)
         if not holds:
             return False, RelationCertificate(False, kind, eps,
                                               failing_target=target)
@@ -90,10 +90,10 @@ def _relation(b: ImageSet, kind: str, eps: Num, slack_of):
 def _margin_relation(a: ImageSet, b: ImageSet, cone: Cone, kind: str,
                      eps: Num, tol, margin_of):
     """``set_relation`` for ``lower`` and ``lower_strict`` at a resolved
-    tol; ``margin_of(target)`` is ``point_margin_with_witness`` of
-    ``target`` against A, or a stored copy of it."""
-    def slack_of(target):
-        mu, witness = margin_of(target)
+    tol; ``margin_of(t)`` is ``point_margin_with_witness`` of the point at
+    position ``t`` of B against A, or a stored copy of it."""
+    def slack_of(t):
+        mu, witness = margin_of(t)
         ok = gt(mu, eps, tol) if kind == LOWER_STRICT else ge(mu, eps, tol)
         return (ok, witness, None) if a.is_finite else (ok, None, witness)
     return _relation(b, kind, eps, slack_of)

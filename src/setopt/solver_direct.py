@@ -7,17 +7,18 @@ iff no x_i excludes it.  With S[i][k] the largest shift with
 * weak:     S[i][k] > eps (the strict relation holds),
 * type-one: S[i][k] >= eps and S[k][i] < -eps,
 * type-two: the strong relation holds at shift eps, each point of
-  F(x_k) read by ``Instance.strongly_dominates`` (by position against a
-  polytope): off the stored point margin (an exact polytope's stored
-  strong slack or vertex bounds first), with a scan or program of F(x_i)
-  only at a tie with the shifted point.
+  F(x_k) read by ``Instance.strongly_dominates`` by its position in the
+  instance: off the stored point margin (an exact polytope's vertex
+  bounds first), with a scan or program of F(x_i) only at a tie with
+  the shifted point.
 
 One scan per candidate meets the first such x_i in index order and
 certifies the relation that excludes; the weak and type-one
 certificates are built from the point margins and witnesses that
 built S, with no second solve, and the type-two certificate of that
 one pair from ``Instance.strong_slack`` (a scan for a finite image, the
-stored program for a polytope).  S solves a polytope's margin program
+stored program for a polytope), each asked by position and the target
+point printed from F(x_k).  S solves a polytope's margin program
 only where its vertex bounds leave the minimum open, so a certificate
 may solve the others.
 Quantifiers run over the whole decision list including the candidate
@@ -102,15 +103,15 @@ def solve_direct(inst: Instance, concept: str, eps: Num = 0,
     members, certificates = [], {}
     mat = inst.set_margins(tol) if concept != TYPE_TWO else None
     for j in range(k):
+        at = range(*inst._first[j:j + 2])  # F(x_j) by position
         for i in range(k):
             if concept == WEAK:
                 holds = gt(mat[i][j], eps, tol)
             elif concept == TYPE_ONE:
                 holds = ge(mat[i][j], eps, tol) and mat[j][i] < -eps - tol
-            else:  # a polytope reads F(x_j) by position
-                holds = all(inst.strongly_dominates(i, t, eps, tol) for t in (
-                    images[j].points if images[i].is_finite else
-                    range(*inst._first[j:j + 2])))
+            else:
+                holds = all(inst.strongly_dominates(i, g, eps, tol)
+                            for g in at)
             if holds:
                 break
         else:
@@ -119,12 +120,12 @@ def solve_direct(inst: Instance, concept: str, eps: Num = 0,
         if concept == TYPE_TWO:  # scans only for the excluding pair
             _, cert = _relation(
                 images[j], LOWER_STRONG, eps,
-                lambda target: inst.strong_slack(i, target, eps, tol))
+                lambda t: inst.strong_slack(i, at[t], eps, tol))
         else:  # from the margins that built S
             _, cert = _margin_relation(
                 images[i], images[j], inst.cone,
                 LOWER_STRICT if concept == WEAK else LOWER, eps, tol,
-                lambda target: inst.point_margin(i, target, tol))
+                lambda t: inst.point_margin(i, at[t], tol))
         certificates[labels[j]] = ExclusionCertificate(
             labels[i], cert, mat[j][i] if concept == TYPE_ONE else None)
     thresholds = weak_threshold(inst, tol) if concept == WEAK else None

@@ -27,11 +27,12 @@ Pools are the minimal elements of finite images (exact at every
 budget, any shift: replacing a tuple entry by a minimal point below it
 preserves survival) and the minimal vertices of polytope images (exact
 once the budget reaches the pool size; below that the verdict is sound
-but flagged incomplete).  The tables read the instance's stored point
-margins, except that an exact polytope competitor's vertex bounds
-settle most bits with no program; the min kind's distinct-witness bit
-comes from ``Instance.strongly_dominates``, which scans a finite image
-only at a tie with the shifted point, and a certificate's witness from
+but flagged incomplete).  Every competitor reads a pool by position
+(``Instance._bits``), off the stored point margins, except that an
+exact polytope's vertex bounds settle most bits with no program; the
+min kind's distinct-witness bit comes from
+``Instance.strongly_dominates``, which scans a finite image only at a
+tie with the shifted point, and a certificate's witness from
 ``imagesets.dominators``, which at tol 0 compares integer cone
 coordinates.  ``brute_force_vp`` re-derives membership from the raw
 definitions over full images, on a table of its own, as the oracle.
@@ -49,7 +50,7 @@ from .arith import Num, div, format_number, format_vector, ge, gt, veq, \
     vscale, vsub
 from .cone import DEFAULT_GAMMA, in_dual_cone, margin, r_epsilon_sq
 from .errors import CapExceeded, ValidationError, WeightNotInDualCone
-from .imagesets import POLYTOPE, cover_by_sq_radius, dominators, question_tol
+from .imagesets import cover_by_sq_radius, dominators, question_tol
 from .instance import Instance
 from .solver_direct import WEAK as DIRECT_WEAK
 from .solver_direct import solve_direct
@@ -240,22 +241,24 @@ def min_hitting_set(sets, limit: Optional[int] = None):
 # Membership
 # ---------------------------------------------------------------------------
 
-def _witness(inst, j, q, eps, tol, strict=False,
+def _witness(inst, j, g, eps, tol, strict=False,
              distinct=False) -> ComponentWitness:
-    """Image j's evidence that it dominates ``q`` at the shift: a finite
-    image's first dominating point, a polytope's margin multipliers, or
-    with ``distinct`` the strong-slack witness other than ``q - eps*e``."""
+    """Image j's evidence that it dominates the point at position ``g`` at
+    the shift: a finite image's first dominating point, a polytope's
+    margin multipliers, or with ``distinct`` the strong-slack witness
+    other than the shifted point."""
     img = inst.images[j]
     if distinct:
-        holds, point, lam = inst.strong_slack(j, q, eps, tol)
+        holds, point, lam = inst.strong_slack(j, g, eps, tol)
         if not holds:
             raise RuntimeError("internal: distinct witness requested but absent")
         return ComponentWitness(point=point, multipliers=lam)
     if img.is_finite:
-        for y in dominators(img, inst.cone, q, eps, tol, strict):
+        for y in dominators(img, inst.cone, inst._points[g], eps, tol,
+                            strict):
             return ComponentWitness(point=y)
         raise RuntimeError("internal: witness requested but absent")
-    return ComponentWitness(multipliers=inst.point_margin(j, q, tol)[1])
+    return ComponentWitness(multipliers=inst.point_margin(j, g, tol)[1])
 
 
 def _table(inst, kind, idx, eps, tol):
@@ -263,22 +266,10 @@ def _table(inst, kind, idx, eps, tol):
     pool it dominates at the shift (strictly for the weak kind, weakly
     for the min kind) and, for the min kind, ``extra[j]`` of those with a
     witness distinct from the shifted point; ``(dom, None)`` for the weak
-    kind.  A polytope competitor reads the pool by position."""
-    weak = kind == VP_WEAK
-    (at, pool), dom, extra = inst._pool(idx, tol), [], []
-    for j, img in enumerate(inst.images):
-        d = x = 0
-        if img.kind == POLYTOPE:  # most bits settled by vertex bounds
-            d, x = inst._bits(j, at, eps, tol, weak)
-        else:
-            for i, q in enumerate(pool):
-                mu = inst.point_margin(j, q, tol)[0]
-                if gt(mu, eps, tol) if weak else ge(mu, eps, tol):
-                    d |= 1 << i
-                    if not weak:
-                        x |= inst.strongly_dominates(j, q, eps, tol) << i
-        dom.append(d)
-        extra.append(x)
+    kind.  Every competitor reads the pool by position."""
+    weak, at = kind == VP_WEAK, inst._pool(idx, tol)
+    dom, extra = map(list, zip(*(inst._bits(j, at, eps, tol, weak)
+                                 for j in range(len(inst.images)))))
     return dom, None if weak else extra
 
 
@@ -357,15 +348,16 @@ def _member(inst, idx, pool, chosen, p, dom):
                             surviving=surviving)
 
 
-def _excluded(inst, idx, pool, p, eps, tol, table):
+def _excluded(inst, idx, p, eps, tol, table):
     """Non-member certificate: the pool prefix padded to budget p, the
     first competitor dominating it, and its witnesses.  A weak-kind
     competitor dominating the whole pool is named first; a min-kind one
     must also dominate some prefix point with a distinct witness, the
     first such being the ``strict_component``."""
     dom, extra = table
-    kmax = min(p, len(pool))
-    prefix, full = (1 << kmax) - 1, (1 << len(pool)) - 1
+    at = inst._pool(idx, tol)
+    kmax = min(p, len(at))
+    prefix, full = (1 << kmax) - 1, (1 << len(at)) - 1
     strict_pos = None
     if extra is None:
         j = min((j for j, d in enumerate(dom) if not prefix & ~d),
@@ -374,13 +366,14 @@ def _excluded(inst, idx, pool, p, eps, tol, table):
         j = next(j for j, (d, x) in enumerate(zip(dom, extra))
                  if not prefix & ~d and prefix & x)
         strict_pos = next(t for t in range(kmax) if extra[j] >> t & 1)
-    canonical = _pad(pool[:kmax], p)
-    witnesses = tuple(_witness(inst, j, q, eps, tol, strict=extra is None,
+    canonical = _pad(at[:kmax], p)
+    witnesses = tuple(_witness(inst, j, g, eps, tol, strict=extra is None,
                                distinct=t == strict_pos)
-                      for t, q in enumerate(canonical))
-    return TupleCertificate(inst.decisions[idx].label, canonical, False,
-                            dominated_by=inst.labels[j], witnesses=witnesses,
-                            strict_component=strict_pos)
+                      for t, g in enumerate(canonical))
+    return TupleCertificate(inst.decisions[idx].label,
+                            tuple(map(inst._points.__getitem__, canonical)),
+                            False, dominated_by=inst.labels[j],
+                            witnesses=witnesses, strict_component=strict_pos)
 
 
 def _check_budget(p) -> None:
@@ -408,7 +401,7 @@ def membership_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
         table = _table(inst, kind, idx, eps, tol)
         chosen = _search(table, len(pool), p)
         if chosen is None:
-            cert = _excluded(inst, idx, pool, p, eps, tol, table)
+            cert = _excluded(inst, idx, p, eps, tol, table)
         else:
             cert = _member(inst, idx, pool, chosen, p, table[0])
             members.append(dec.label)

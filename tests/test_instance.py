@@ -8,11 +8,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from setopt.cone import validate_cone
+from setopt.cone import margin, validate_cone
 from setopt.errors import (DimMismatch, DuplicateLabel, EmptyImage,
                            NotInterior, ParseError, ValidationError)
 import setopt.imagesets
-from setopt.imagesets import (_in_hull, _target, finite_set, min_elements,
+from setopt.imagesets import (_in_hull, finite_set, min_elements,
                               polytope, prune_to_extreme, question_tol,
                               strong_membership_slack)
 from setopt.instance import (Decision, Instance, build_instance,
@@ -381,12 +381,11 @@ def _tie_layouts(rng, cone, eps_grid):
 
 
 def _assert_strong_bits_match_scans(inst, eps_grid, tols):
-    targets = {q for img in inst.images for q in img.points}
     for tol, eps in itertools.product(tols, eps_grid):
         tol = question_tol(tol, inst.cone, inst.images, eps)
         for j, img in enumerate(inst.images):
-            for q in targets:
-                assert inst.strongly_dominates(j, q, eps, tol) == \
+            for g, q in enumerate(inst._points):
+                assert inst.strongly_dominates(j, g, eps, tol) == \
                     strong_membership_slack(q, img, inst.cone, tol, eps)[0]
         report = solve_direct(inst, TYPE_TWO, eps, tol)
         members, certificates = [], {}
@@ -438,72 +437,76 @@ def _mask(bits) -> int:
     return sum(bit << i for i, bit in enumerate(bits))
 
 
-def _bounds(inst, j, q):
-    """Polytope ``j``'s vertex bounds of target ``q`` as ``Fraction``s,
-    and the ``d`` of ``q``'s int row (1 for a position)."""
-    lb, ub = inst._bounds(j, q, inst._bar(0, 0))[:2]
-    _, den, coef = inst._ints[:3]
-    d = 1 if isinstance(q, int) else _target(q, coef, den)[1]
-    return F(lb, d * den), F(ub, d * den), d
+def _bounds(inst, j, g):
+    """Polytope ``j``'s vertex bounds of the point at position ``g`` as
+    ``Fraction``s."""
+    den = inst._ints[1]
+    return tuple(F(b, den) for b in inst._bounds(j, g))
 
 
-def _assert_bounds_agree(inst, fresh, seen):
+def _assert_bounds_agree(inst, seen):
     """Every bit an exact polytope's vertex bounds settle is the one its
-    programs decide, at eps 0, 1/7 and the margin itself, for every
-    point of every image, by position, and the ``fresh`` points; finite
-    images keep their own pools, and every table the vectorizer reads is
-    the programs' and scans' own."""
-    own = {}
-    for g, y in enumerate(inst._points):
-        own.setdefault(y, g)
-    targets = list(own.values()) + fresh
-    points = [inst._points[q] if isinstance(q, int) else q for q in targets]
+    programs decide, at eps 0, 1/7 and the margin itself, for the point at
+    every position of every image; a finite image's bits, set margins and
+    pool are those of scans by position, and every table the vectorizer
+    reads is the programs' and scans' own."""
+    targets, cone = range(len(inst._points)), inst.cone
     for j, img in enumerate(inst.images):
-        if img.is_finite:
-            assert inst.pool(j, 0) == min_elements(img, inst.cone)
-            continue
-        mus = [inst.point_margin(j, q, 0)[0] for q in points]
-        for q, p, mu in zip(targets, points, mus):
-            lb, ub, d = _bounds(inst, j, q)
-            assert lb <= mu <= ub and (lb < ub or lb == mu)
+        finite = img.is_finite
+        mus = [max(margin(y, p, cone) for y in img.points) if finite
+               else inst.point_margin(j, g, 0)[0]
+               for g, p in enumerate(inst._points)]
+        for g, mu in zip(targets, mus):
             # at the tie bits are settled when lb == mu or ub == mu
-            assert inst._bits(j, [q], mu, 0, True) == (0, 0)
+            assert inst._bits(j, [g], mu, 0, True) == (0, 0)
+            if finite:
+                assert inst.strongly_dominates(j, g, mu, 0) == \
+                    strong_membership_slack(inst._points[g], img, cone, 0,
+                                            mu)[0]
+                seen["finite competitor"] += 1
+                continue
+            lb, ub = _bounds(inst, j, g)
+            assert lb <= mu <= ub and (lb < ub or lb == mu)
             if lb < mu == ub:
-                assert inst.strongly_dominates(j, q, mu, 0) == \
-                    inst.strong_slack(j, p, mu, 0)[0]
+                assert inst.strongly_dominates(j, g, mu, 0) == \
+                    inst.strong_slack(j, g, mu, 0)[0]
                 seen["lb < mu == ub"] += 1
-            seen["d > 1"] += d > 1
             seen["lb == ub"] += lb == ub
             seen["tie settled"] += lb == mu or ub == mu
             seen["0 settled"] += lb > 0 or ub < 0
-            if isinstance(q, int) and any(
-                    b.is_finite and inst._first[k] <= q < inst._first[k + 1]
-                    for k, b in enumerate(inst.images)):
+            if any(b.is_finite and inst._first[k] <= g < inst._first[k + 1]
+                   for k, b in enumerate(inst.images)):
                 seen["finite target"] += 1
         for eps in (0, F(1, 7)):
             assert inst._bits(j, targets, eps, 0, True) == (
                 _mask(mu > eps for mu in mus), 0)
             assert inst._bits(j, targets, eps, 0, False) == (
                 _mask(mu >= eps for mu in mus),
-                _mask(mu > eps or mu == eps and inst.strong_slack(j, p, eps,
+                _mask(mu > eps or mu == eps and inst.strong_slack(j, g, eps,
                                                                   0)[0]
-                      for p, mu in zip(points, mus)))
-            assert not any(inst.strongly_dominates(j, q, eps, 0)
-                           for q, mu in zip(targets, mus) if mu < eps)
-        margin = dict(zip(points, mus))
+                      for g, mu in zip(targets, mus)))
+            assert not any(inst.strongly_dominates(j, g, eps, 0)
+                           for g, mu in zip(targets, mus) if mu < eps)
         assert inst.set_margins(0)[j] == [
-            min(map(margin.get, b.points)) for b in inst.images]
-        assert inst.pool(j, 0) == tuple(
-            v for v in img.points if not inst.strong_slack(j, v, 0, 0)[0])
+            min(mus[inst._first[k]:inst._first[k + 1]])
+            for k in range(len(inst.images))]
+        if finite:
+            assert inst.pool(j, 0) == min_elements(img, cone)
+        else:
+            assert inst.pool(j, 0) == tuple(
+                v for t, v in enumerate(img.points)
+                if not inst.strong_slack(j, inst._first[j] + t, 0, 0)[0])
     for idx, eps, kind in itertools.product(
             range(len(inst.images)), (0, F(1, 7)), (VP_WEAK, VP_MIN)):
         pool = inst.pool(idx, 0)
-        mus = [[inst.point_margin(j, q, 0)[0] for q in pool]
-               for j in range(len(inst.images))]
+        mus = [[max(margin(y, q, cone) for y in img.points) if img.is_finite
+                else inst.point_margin(j, g, 0)[0]
+                for g, q in zip(inst._pool(idx, 0), pool)]
+               for j, img in enumerate(inst.images)]
         dom = [_mask(mu > eps if kind == VP_WEAK else mu >= eps for mu in row)
                for row in mus]
         extra = [_mask(mu >= eps and strong_membership_slack(
-                           q, img, inst.cone, 0, eps)[0]
+                           q, img, cone, 0, eps)[0]
                        for q, mu in zip(pool, row))
                  for img, row in zip(inst.images, mus)]
         assert _table(inst, kind, idx, eps, 0) == (
@@ -514,9 +517,9 @@ def test_vertex_bounds_settle_only_what_the_programs_decide():
     # at tol 0 on rational data a polytope's vertex bounds lb <= mu <= ub
     # settle table bits, strong bits, set margins and pool members with
     # no program.  Convex-graph images under the orthant and the goldens'
-    # skew cones, asked about every vertex of every image and fresh
-    # points whose cone coordinates over an image's denominator need a
-    # factor d > 1; polytopes in R^3, where lb < mu == ub can hold
+    # skew cones, asked about every point of every image, among them a
+    # finite image of points whose cone coordinates need a larger common
+    # denominator; polytopes in R^3, where lb < mu == ub can hold
     rng = random.Random(37)
     cones = [None] + [validate_cone(rows, e) for rows, e in GOLDEN_CONES]
     seen = collections.Counter()
@@ -524,11 +527,13 @@ def test_vertex_bounds_settle_only_what_the_programs_decide():
                                           ((1, 5), (2, 2), (1, 3))):
         inst = make_example("convex_polyhedral",
                             {"seed": seed, "n": n, "g": g}, exact=True)
-        inst = build_instance(cones[seed % 3] or inst.cone, inst.decisions,
-                              inst.images)
-        _assert_bounds_agree(inst, [
+        points = finite_set([
             tuple(F(rng.randint(-40, 40), rng.randint(2, 13)) for _ in "xy")
-            for _ in range(9)], seen)
+            for _ in range(9)])
+        inst = build_instance(cones[seed % 3] or inst.cone,
+                              inst.decisions + (Decision("pts", (9,) * n),),
+                              inst.images + (points,))
+        _assert_bounds_agree(inst, seen)
     space = validate_cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1])
     # (1, 1, -1) has margin 1, that of the ideal point (-4, -2, -2),
     # where no vertex has more than 0, and (1, 1, -1) - e = (0, 0, -2)
@@ -536,27 +541,28 @@ def test_vertex_bounds_settle_only_what_the_programs_decide():
     # strong-slack program decides
     hand = polytope([tuple(map(F, v)) for v in (
         (-2, 4, 1), (-4, 3, -2), (4, -2, -2), (1, -2, -2), (1, -2, 4))])
-    inst = build_instance(space, [("a", (0,))], [hand])
-    assert _bounds(inst, 0, (1, 1, -1))[:2] == (0, 1)
-    assert inst.strongly_dominates(0, (F(1), F(1), F(-1)), 1, 0)
-    _assert_bounds_agree(inst, [(F(1), F(1), F(-1))], seen)
+    inst = build_instance(space, [("a", (0,)), ("b", (1,))],
+                          [hand, finite_set([(F(1), F(1), F(-1))])])
+    assert _bounds(inst, 0, inst._first[1]) == (0, 1)
+    assert inst.strongly_dominates(0, inst._first[1], 1, 0)
+    _assert_bounds_agree(inst, seen)
     for _ in range(2):
         images = [polytope([tuple(F(rng.randint(-4, 4)) for _ in range(3))
                             for _ in range(rng.randint(2, 5))])
                   for _ in range(5)]
-        inst = build_instance(space, [(str(i), (i,)) for i in range(5)],
+        images.append(finite_set([tuple(F(rng.randint(-6, 6)) for _ in "xyz")
+                                  for _ in range(8)]))
+        inst = build_instance(space, [(str(i), (i,)) for i in range(6)],
                               images)
-        _assert_bounds_agree(inst, [
-            tuple(F(rng.randint(-6, 6)) for _ in "xyz") for _ in range(8)],
-            seen)
-    assert min(seen.values()) > 5 and seen["d > 1"] > 1000, seen
+        _assert_bounds_agree(inst, seen)
+    assert min(seen.values()) > 5, seen
 
 
 def test_mixed_images_read_finite_pools_by_position():
     # instances mixing finite and polytope images: a finite pool is read
-    # by position against polytope competitors, and fresh targets go
-    # through _target; every bit, set margin, pool and table is the
-    # programs' answer
+    # by position against polytope competitors, a polytope's against
+    # finite ones; every bit, set margin, pool and table is the programs'
+    # and the scans' answer
     rng = random.Random(43)
     cones = [None] + [validate_cone(rows, e) for rows, e in GOLDEN_CONES]
     seen = collections.Counter()
@@ -567,11 +573,13 @@ def test_mixed_images_read_finite_pools_by_position():
             list(img.points) + [tuple(F(rng.randint(-30, 30), rng.randint(
                 1, 5)) for _ in "xy") for _ in range(rng.randint(0, 4))])
             for t, img in enumerate(inst.images)]
-        inst = build_instance(cones[seed % 3] or inst.cone, inst.decisions,
-                              images)
-        _assert_bounds_agree(inst, [
+        images.append(finite_set([
             tuple(F(rng.randint(-40, 40), rng.randint(2, 11)) for _ in "xy")
-            for _ in range(3)], seen)
+            for _ in range(3)]))
+        inst = build_instance(cones[seed % 3] or inst.cone,
+                              inst.decisions + (Decision("pts", (9,)),),
+                              images)
+        _assert_bounds_agree(inst, seen)
     assert min(seen.values()) > 5 and seen["finite target"] > 100, seen
 
 
@@ -583,9 +591,54 @@ def test_float_shift_of_exact_polytopes_stays_with_the_program():
     for seed, n, g in ((5, 1, 3), (7, 2, 2), (9, 1, 4)):
         inst = make_example("convex_polyhedral",
                             {"seed": seed, "n": n, "g": g}, exact=True)
-        for j, q in itertools.product(range(len(inst.images)),
-                                      {v for b in inst.images
-                                       for v in b.points}):
-            assert inst.strongly_dominates(j, q, 1 / 7, 0) == \
-                inst.strong_slack(j, q, 1 / 7, 0)[0]
+        for j, g in itertools.product(range(len(inst.images)),
+                                      range(len(inst._points))):
+            assert inst.strongly_dominates(j, g, 1 / 7, 0) == \
+                inst.strong_slack(j, g, 1 / 7, 0)[0]
         membership_vp(inst, 1, 1 / 7, VP_MIN, tol=0)
+
+
+def test_a_float_eps_and_the_equal_rational_keep_apart():
+    # at tol 0 a polytope's strong-slack program shifts by a float eps in
+    # floats, so a float eps and the equal rational are two questions
+    # whose stored slacks must not meet: each answer is a fresh
+    # instance's, whichever of the two was asked first
+    def fresh():
+        return make_example("convex_polyhedral",
+                            {"seed": seed, "n": 2, "g": 2}, exact=True)
+
+    for seed, eps in itertools.product(range(3), (F(1, 2), F(1, 4))):
+        # a list: as dict keys the two are one
+        alone = [(e, repr(solve_direct(fresh(), TYPE_TWO, e, tol=0)))
+                 for e in (eps, float(eps))]
+        for (first, _), (then, answer) in (alone, alone[::-1]):
+            inst = fresh()
+            solve_direct(inst, TYPE_TWO, first, tol=0)
+            assert repr(solve_direct(inst, TYPE_TWO, then, tol=0)) == answer
+        if (seed, eps) == (1, F(1, 2)):
+            assert solve_direct(fresh(), TYPE_TWO, eps, tol=0).members == (
+                "0;0", "0;1")
+
+
+def test_equal_points_of_two_images_are_solved_once(orthant, monkeypatch):
+    # a point that two images hold has two positions but one stored
+    # margin and one stored strong slack per competitor, so a polytope
+    # solves each program for it once
+    q = (F(1, 2), F(1, 3))
+    inst = build_instance(orthant, [("a", (0,)), ("b", (1,)), ("c", (2,))], [
+        polytope([(F(0), F(1)), (F(1), F(0)), (F(2), F(2))]),
+        finite_set([q, (F(3), F(-1))]), finite_set([(F(-1), F(4)), q])])
+    g, h = inst._first[1], inst._first[2] + 1
+    assert inst._points[g] == inst._points[h] == q
+    solved = []
+
+    def counted(prog, tol=None):
+        solved.append(prog)
+        return real(prog, tol)
+
+    real = setopt.imagesets.lp_maximize
+    monkeypatch.setattr(setopt.imagesets, "lp_maximize", counted)
+    assert inst.point_margin(0, g, 0) is inst.point_margin(0, h, 0)
+    assert inst.strong_slack(0, g, F(1, 9), 0) is \
+        inst.strong_slack(0, h, F(1, 9), 0)
+    assert len(solved) == 2

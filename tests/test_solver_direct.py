@@ -12,7 +12,7 @@ from setopt.setrelations import (LOWER, LOWER_STRICT, LOWER_STRONG,
                                  set_relation, verify_certificate)
 from setopt.solver_direct import (TYPE_ONE, TYPE_TWO, WEAK, solve_direct,
                                   weak_threshold)
-from setopt.vectorizer import VP_MIN, VP_WEAK, membership_vp
+from setopt.vectorizer import VP_MIN, VP_WEAK, membership_vp, minimal_p
 
 
 def _oracle_strictly_dominated(inst, j, eps):
@@ -221,3 +221,17 @@ def test_report_json_shape():
     assert {c["label"] for c in data["certificates"]} == {"1/2", "1"}
     weak = solve_direct(inst, WEAK, 0).to_json_dict()
     assert set(weak["thresholds"]) == {"0", "1/2", "1"}
+
+
+def test_an_explicit_float_zero_tol_is_exact(orthant):
+    # tol=0.0 is tol 0: the thresholds stay exact, so 1/3 - 0.0 does not
+    # round below the margin 1/3 of b over a
+    a = finite_set([(F(0), F(0))])
+    b = finite_set([(F(1, 3), F(1, 3))])
+    for tol in (0, 0.0):
+        inst = build_instance(orthant, [("a", (0,)), ("b", (1,))], [a, b])
+        assert solve_direct(inst, WEAK, F(1, 3), tol).members == ("a", "b")
+        assert not set_relation(a, b, orthant, LOWER_STRICT, F(1, 3), tol)[0]
+        assert membership_vp(inst, 1, F(1, 3), VP_WEAK, tol=tol).members == (
+            "a", "b")
+        assert minimal_p(inst, "b", F(1, 3), VP_WEAK, tol=tol).p_star == 1
