@@ -83,14 +83,6 @@ def parse_number(value, exact: bool) -> Num:
     """
     if isinstance(value, bool):
         raise ParseError(f"expected a number, got boolean {value!r}")
-    if isinstance(value, str):
-        try:
-            frac = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {value!r}: {exc}") from exc
-        return frac if exact else float(frac)
-    if isinstance(value, int):
-        return Fraction(value) if exact else float(value)
     if isinstance(value, float):
         if exact:
             raise ParseError(
@@ -99,7 +91,15 @@ def parse_number(value, exact: bool) -> Num:
         if not math.isfinite(value):
             raise ParseError(f"non-finite number {value!r}")
         return value
-    raise ParseError(f"expected a number, got {type(value).__name__}")
+    if not isinstance(value, (str, int)):
+        raise ParseError(f"expected a number, got {type(value).__name__}")
+    try:
+        frac = Fraction(value)
+        return frac if exact else float(frac)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational literal {value!r}: {exc}") from exc
+    except OverflowError:
+        raise ParseError(f"number {value!r} is beyond float range") from None
 
 
 def format_number(x: Num):

@@ -18,12 +18,13 @@ reduced by one gcd.  A polytope keeps the cone products ``a_j.v`` of
 its vertices, and builds each of its two linear programs, the point
 margin and the strong slack, on its first solve (``lp``); a target
 changes only their right-hand side ``-A.t``.  ``Instance`` asks them
-only about its own points, read by position, and keeps their int rows
-and each polytope's ideal point, so at tol 0 a point margin lies
-between the best vertex margin and the ideal point's with no program
-(Gerth & Weidner, JOTA 67, 1990), and solves one only where they leave
-a verdict open or a certificate needs multipliers.  An image keeps
-this data for the last cone asked.
+only about its own points, read by position, and at tol 0 reads every
+competitor's table bits and strong bits off its own int rows: a finite
+image's best row margin is the point margin, a polytope's lies between
+it and the ideal point's (Gerth & Weidner, JOTA 67, 1990), so a program
+is solved, or a finite image scanned, only at a tie, where the bounds
+leave a verdict open, or for a certificate.  An image keeps this data
+for the last cone asked.
 Extreme-point pruning sweeps the hull (Andrew's monotone chain) for
 exact planar vertex lists and solves one linear program per vertex
 otherwise.  ``question_tol`` resolves every question's default
@@ -102,28 +103,25 @@ def polytope(vertices) -> ImageSet:
 
 
 class _Margins:
-    """The margin kernel of finite images: for a target
-    ``q``, a point or the index of one of the image's points, ``margins``
-    yields ``margin(y, q)`` for each point ``y``, lazily and in image
-    order; ``positions`` are the points' positions and ``t`` that of
-    ``q``.  On rational data at tol 0 or None (margins are the same
-    numbers either way; only thresholds read tol) a position is an int
-    row of cone coordinates over ``den`` (``d`` times the image's), equal
-    only for equal points as A has full column rank, and a margin the
-    int ``min_j t_j - w_j``.  Otherwise positions are the points, margins
-    ``cone.margin`` values and ``den`` None."""
+    """The margin kernel of finite images: for a target point ``q``,
+    ``margins`` yields ``margin(y, q)`` for each point ``y``, lazily and
+    in image order; ``positions`` are the points' positions and ``t``
+    that of ``q``.  On rational data at tol 0 or None (margins are the
+    same numbers either way; only thresholds read tol) a position is an
+    int row of cone coordinates over ``den`` (``d`` times the image's),
+    equal only for equal points as A has full column rank, and a margin
+    the int ``min_j t_j - w_j``.  Otherwise positions are the points,
+    margins ``cone.margin`` values and ``den`` None."""
 
-    def __init__(self, image: ImageSet, cone: Cone, q, tol):
-        own = isinstance(q, int)
+    def __init__(self, image: ImageSet, cone: Cone, q: Vec, tol):
         coords = None if tol else _cone_products(image, cone)
         self.tol, self.e, self.den = tol, cone.e, None
-        if coords is None or not (own or all(map(is_exact, q))):
-            q = self.t = image.points[q] if own else q
-            self.positions = image.points
+        if coords is None or not all(map(is_exact, q)):
+            self.t, self.positions = q, image.points
             self.margins = (margin(y, q, cone) for y in image.points)
             return
         rows, den, coef = coords
-        t, d = (rows[q], 1) if own else _target(q, coef, den)
+        t, d = _target(q, coef, den)  # an own point's row, with d == 1
         self.den, self.t = den * d, t
         self.positions = rows if d == 1 else (  # each scaled when read
             tuple([d * v for v in w]) for w in rows)
@@ -159,14 +157,12 @@ def min_elements(image: ImageSet, cone: Cone, weak: bool = False,
     if not image.is_finite:
         raise ValidationError("min_elements is defined for finite images only")
     tol = question_tol(tol, cone, (image,))
-    # each distinct point, in image order, and an index it has
-    index = dict(zip(image.points, range(len(image.points))))
+    index = dict.fromkeys(image.points)  # each distinct point, in order
     if weak:
-        return tuple(p for p, i in index.items()
-                     if not any(dominators(image, cone, i, 0, tol, True)))
+        return tuple(p for p in index
+                     if not any(dominators(image, cone, p, 0, tol, True)))
     # the points within tol below each distinct point, one scan each
-    below = {p: list(dominators(image, cone, i, 0, tol))
-             for p, i in index.items()}
+    below = {p: list(dominators(image, cone, p, 0, tol)) for p in index}
     # within tol of each other, p and q each lie below the other, so p
     # drops only below a q it does not lie under in turn (at tol 0 any
     # distinct q below p, as K is pointed); a q strictly below p never
@@ -249,7 +245,7 @@ def dominators(image: ImageSet, cone: Cone, q: Vec, eps: Num, tol,
     """The points ``y`` of a finite image, in image order, that dominate
     ``q`` at the shift: ``margin(y, q) >= eps`` (``> eps`` when
     ``strict``), and ``y != q - eps*e`` when ``distinct``, each within
-    ``tol``.  ``q`` is a point, or the index of one of the image's."""
+    ``tol``."""
     scan = _Margins(image, cone, q, tol)
     lo, hi, at_peak = scan.bars(eps, distinct)
     return (y for y, m, w in zip(image.points, scan.margins, scan.positions)

@@ -48,9 +48,9 @@ class Instance:
     metadata: dict = field(default_factory=dict, hash=False)
     exact: bool = False
     # tol -> [point margins per competitor in a list by position, pools,
-    # set margins, polytope strong slacks] and the points by position with
-    # their int table (``_points``, ``_ints``), made on first use; the
-    # fields they derive from are immutable, so none goes stale.  Every
+    # set margins, strong slacks] and the points by position with their
+    # int table and its bounds (``_points``, ``_ints``), made on first use;
+    # the fields they derive from are immutable, so none goes stale.  Every
     # method names a point by its position: no outside point reaches them
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -98,35 +98,47 @@ class Instance:
     @functools.cached_property
     def _slot(self) -> tuple:
         """Per position, the first position holding an equal point: the
-        slot of its stored margins and slacks."""
+        slot of its stored margins, bounds and slacks."""
         return tuple(map({}.setdefault, self._points, itertools.count()))
 
     @functools.cached_property
     def _ints(self):
-        """``(rows, den, per, ideals)`` on rational data, else None:
+        """``(rows, den, per, ideals, kept)`` on rational data, else None:
         ``rows[g][j] / den = a_j.y / a_j.e`` in ints for the point at
-        position ``g`` (``_coordinates``), each image's rows, and their
-        least value per row (a polytope's ideal point)."""
+        position ``g`` (``_coordinates``), each image's rows, a polytope's
+        least value per row (its ideal point; None for a finite image), and
+        per competitor its ``_bounds`` by slot, filled on first use."""
         got = _coordinates(self._points, self.cone)
-        per = got and [got[0][a:b] for a, b in zip(self._first,
-                                                   self._first[1:])]
-        return got and (*got[:2], per, [tuple(map(min, zip(*r))) for r in per])
+        if got:
+            rows, den, _ = got
+            per = [rows[a:b] for a, b in zip(self._first, self._first[1:])]
+            ideals = [None if img.is_finite else tuple(map(min, zip(*r)))
+                      for img, r in zip(self.images, per)]
+            return rows, den, per, ideals, [[None] * len(rows) for _ in per]
 
     def _bar(self, eps, tol):
         """``(ceil, floor)`` of ``eps * den`` at tol 0 on rational data."""
-        if not tol and self._ints:
-            shift = Fraction(eps) * self._ints[1]
-            return math.ceil(shift), math.floor(shift)
+        if not tol and self._ints:  # eps * den = n * den / d, in ints
+            n, d = eps.as_integer_ratio()
+            return -(-n * self._ints[1] // d), n * self._ints[1] // d
+
+    @staticmethod
+    def _gap(z, w) -> int:
+        """The margin of int table row ``z`` over row ``w``, times den."""
+        return min(map(operator.sub, z, w))
 
     def _bounds(self, j, g):
         """``(lb, ub)`` in ints over ``den`` for the point at position
-        ``g`` against polytope ``j``: the best vertex margin and the ideal
-        point's, ``lb <= point_margin(g) <= ub`` (Gerth & Weidner, JOTA 67,
-        1990)."""
-        rows, _, per, ideals = self._ints
-        z = rows[g]
-        gap = lambda w: min(map(operator.sub, z, w))
-        return max(map(gap, per[j])), gap(ideals[j])
+        ``g`` against image ``j``, once per slot: the best margin over its
+        rows and its ideal point's, ``lb <= point_margin(g) <= ub`` (Gerth
+        & Weidner, JOTA 67, 1990); a finite image's ``lb`` is the margin."""
+        rows, _, per, ideals, kept = self._ints
+        kept, s = kept[j], self._slot[g]
+        if kept[s] is None:
+            gap = functools.partial(self._gap, rows[g])
+            lb = max(map(gap, per[j]))
+            kept[s] = lb, lb if ideals[j] is None else gap(ideals[j])
+        return kept[s]
 
     def point_margin(self, j: int, g: int, tol):
         """``point_margin_with_witness`` of the point at position ``g``
@@ -140,30 +152,25 @@ class Instance:
 
     def strong_slack(self, j: int, g: int, eps, tol):
         """``strong_membership_slack`` of the point at position ``g``
-        shifted by ``eps`` against image ``j``: a polytope's computed once
-        per tol, on rational data a float eps apart from the equal rational
-        (the program shifts by it in floats), a finite image's scanned on
-        each call (its witness is the first dominator in image order, which
-        no stored quantity names)."""
-        img, point = self.images[j], self._points[g]
-        if img.is_finite:
-            return strong_membership_slack(point, img, self.cone, tol, eps)
+        shifted by ``eps`` against image ``j`` (a finite image's scan, a
+        polytope's program), computed once per eps and tol; on rational
+        data a float eps apart from the equal rational (a program shifts by
+        it in floats)."""
         slacks = self._tables(tol)[3]
-        float_shift = isinstance(eps, float) and self._ints is not None
-        key = j, self._slot[g], eps, float_shift
+        key = j, self._slot[g], eps, isinstance(eps, float) and bool(self._ints)
         got = slacks.get(key)
         if got is None:
-            got = slacks[key] = strong_membership_slack(point, img, self.cone,
-                                                        tol, eps)
+            got = slacks[key] = strong_membership_slack(
+                self._points[g], self.images[j], self.cone, tol, eps)
         return got
 
     def _bits(self, j: int, at, eps, tol, weak: bool) -> tuple:
         """``vectorizer._table``'s bitmasks of the positions ``at`` against
         image ``j``: those whose point margin is ``> eps`` (``weak``) or
-        ``>= eps`` within tol, off a polytope's vertex bounds when both
-        agree and else off the stored margin, and for the min kind those
-        of them it strongly dominates (0 for the weak kind)."""
-        bar = not self.images[j].is_finite and self._bar(eps, tol)
+        ``>= eps`` within tol, off ``_bounds`` when both agree (a finite
+        image's always do) and else off the stored margin, and for the min
+        kind those of them it strongly dominates (0 for the weak kind)."""
+        bar = self._bar(eps, tol)
         cut = bar and (bar[1] + 1 if weak else bar[0])  # a margin clears it
         d = x = 0
         for i, g in enumerate(at):
@@ -182,33 +189,30 @@ class Instance:
     def strongly_dominates(self, j: int, g: int, eps, tol) -> bool:
         """Whether the point at position ``g`` minus ``eps*e`` lies in
         image ``j`` plus K minus the origin (``strong_slack(j, g, eps,
-        tol)[0]``).  A finite image reads its stored point margin ``(mu,
-        w)``: false when ``mu < eps`` within tol, true when ``w`` is not
-        the shifted point (in exact arithmetic, when ``mu != eps``), and it
-        scans only at that tie.  A polytope reads, at an exact eps, its
-        vertex bounds ``lb <= mu <= ub``, else its stored margin, and its
-        strong slack only at a tie (or at a float eps, which the program
-        shifts by in floats)."""
-        if not self.images[j].is_finite:
-            bar = is_exact(eps) and self._bar(eps, tol)
-            lb, ub, lo, hi = ((*self._bounds(j, g), *bar) if bar
-                              else (0,) * 4)  # no bounds: as at a tie
+        tol)[0]``).  At tol 0 on rational data and an exact eps, every
+        image reads ``lb <= mu <= ub`` (``_bounds``): true when ``lb >
+        eps``, false when ``ub < eps``, else off its stored margin, and its
+        strong slack only at ``mu == eps``.  On float data a finite image
+        reads its stored margin ``(mu, w)``: false when ``mu < eps`` within
+        tol, true when ``w`` is not the shifted point, else its strong
+        slack; all else (a float eps, which a program shifts by in floats,
+        or a polytope on float data) reads the strong slack."""
+        bar = is_exact(eps) and self._bar(eps, tol)
+        if bar:
+            (lb, ub), (lo, hi) = self._bounds(j, g), bar
             if lb > hi or ub < lo:
                 return lb > hi
             if not lb == lo == hi:  # lb < eps <= ub
                 mu = self.point_margin(j, g, tol)[0]
                 if mu != eps:
                     return mu > eps
-            return self.strong_slack(j, g, eps, tol)[0]
-        mu, w = self.point_margin(j, g, tol)
-        if not ge(mu, eps, tol):
-            return False
-        if tol == 0 and is_exact(mu):
-            if mu != eps:
+        elif self.images[j].is_finite and not self._bar(0, tol):
+            mu, w = self.point_margin(j, g, tol)
+            if not ge(mu, eps, tol):
+                return False
+            if not veq(w, vsub(self._points[g], vscale(eps, self.cone.e)),
+                       tol):
                 return True
-            eps = Fraction(eps)  # exact, as the kernel reads a float eps
-        if not veq(w, vsub(self._points[g], vscale(eps, self.cone.e)), tol):
-            return True
         return self.strong_slack(j, g, eps, tol)[0]
 
     def set_margins(self, tol) -> list:
@@ -245,14 +249,13 @@ class Instance:
         pools = self._tables(tol)[1]
         if i not in pools:
             img, first = self.images[i], self._first[i]
-            if img.is_finite:  # min_elements returns objects of img.points
-                pos = {id(p): t for t, p in enumerate(img.points)}
-                at = [pos[id(p)] for p in min_elements(img, self.cone,
-                                                       False, tol)]
+            if img.is_finite:  # min_elements keeps each first occurrence
+                at = [img.points.index(p)
+                      for p in min_elements(img, self.cone, False, tol)]
             else:  # a vertex with another vertex K-below it is not minimal
                 rows = self._bar(0, tol) and self._ints[2][i]
                 at = [t for t in range(len(img.points)) if not (
-                    rows and sum(min(map(operator.sub, rows[t], w)) >= 0
+                    rows and sum(self._gap(rows[t], w) >= 0
                                  for w in rows) > 1)
                       and not self.strong_slack(i, first + t, 0, tol)[0]]
             pools[i] = tuple(first + t for t in at)

@@ -28,11 +28,12 @@ budget, any shift: replacing a tuple entry by a minimal point below it
 preserves survival) and the minimal vertices of polytope images (exact
 once the budget reaches the pool size; below that the verdict is sound
 but flagged incomplete).  Every competitor reads a pool by position
-(``Instance._bits``), off the stored point margins, except that an
-exact polytope's vertex bounds settle most bits with no program; the
+(``Instance._bits``): at tol 0 on rational data off the instance's int
+table, whose bounds settle every bit of a finite image and most of a
+polytope's with no program, else off the stored point margins; the
 min kind's distinct-witness bit comes from
-``Instance.strongly_dominates``, which scans a finite image only at a
-tie with the shifted point, and a certificate's witness from
+``Instance.strongly_dominates``, which reads a stored scan or program
+only at a tie with the shifted point, and a certificate's witness from
 ``imagesets.dominators``, which at tol 0 compares integer cone
 coordinates.  ``brute_force_vp`` re-derives membership from the raw
 definitions over full images, on a table of its own, as the oracle.

@@ -66,6 +66,22 @@ def test_covering_bad_gamma_exit_two(tmp_path, capsys):
             assert "error: bad rational literal" in capsys.readouterr().err
 
 
+def test_numbers_beyond_float_range_exit_two(tmp_path, capsys):
+    # in float mode a shift, gamma or weight beyond float range is a usage
+    # error naming the number, not a traceback
+    inst_path = tmp_path / "i.json"
+    run(["example", "mfdvp", "-o", str(inst_path)])
+    common = ["-i", str(inst_path)]
+    for argv in (["solve", *common, "--eps", "1e400"],
+                 ["covering-p", *common, "--x", "0", "--eps", "1",
+                  "--gamma", "1e400"],
+                 ["weighted-sum", *common, "--p", "2", "--weights", "1e400,1"]):
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'1e400'" in err
+
+
 def test_discretize_and_distance(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -553,8 +553,7 @@ def test_integer_cone_coordinates_match_a_fraction_scan(orthant, skew_cone):
     for cone in (orthant, skew_cone, three_row):
         for _ in range(6):
             a, b = image(), image()
-            own = list(enumerate(a.points))
-            for key, q in own + [(y, y) for y in b.points + (point(),)]:
+            for q in a.points + b.points + (point(),):
                 ms = [margin(y, q, cone) for y in a.points]
                 best = max(ms)
                 assert point_margin_with_witness(q, a, cone) == \
@@ -565,7 +564,7 @@ def test_integer_cone_coordinates_match_a_fraction_scan(orthant, skew_cone):
                     want = [y for y, m in zip(a.points, ms)
                             if (m > eps if strict else m >= eps)
                             and not (distinct and y == peak)]
-                    assert list(dominators(a, cone, key, eps, 0, strict,
+                    assert list(dominators(a, cone, q, eps, 0, strict,
                                            distinct)) == want
                     if distinct and not strict:
                         assert strong_membership_slack(q, a, cone, eps=eps) \

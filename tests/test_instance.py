@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from setopt.arith import parse_number
 from setopt.cone import margin, validate_cone
 from setopt.errors import (DimMismatch, DuplicateLabel, EmptyImage,
                            NotInterior, ParseError, ValidationError)
@@ -109,6 +110,23 @@ def test_rational_strings_parse_in_float_mode():
     inst = from_json_dict(data, exact=False)
     assert inst.decisions[0].x == (0.25,)
     assert inst.images[0].points[0] == (0.0, 1.5)
+
+
+def test_numbers_beyond_float_range_are_parse_errors(tmp_path):
+    # float mode refuses a rational beyond float range with a ParseError
+    # that names it; exact mode reads it as the rational it is
+    for value in (10 ** 400, "1e400", "-1e400"):
+        with pytest.raises(ParseError, match="beyond float range"):
+            parse_number(value, exact=False)
+        assert parse_number(value, exact=True) == F(value)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "cone": {"rows": [[1, 0], [0, 1]], "e": [1, 1]},
+        "decisions": [{"label": "a", "x": [0]}],
+        "images": [{"type": "finite", "points": [[0, "1e400"]]}]}))
+    with pytest.raises(ParseError, match=r"images\[0\]\.points\[0\]\[1\]"):
+        load(path)
+    assert load(path, exact=True).images[0].points[0] == (0, F(10) ** 400)
 
 
 def test_unknown_example_rejected():
@@ -438,7 +456,7 @@ def _mask(bits) -> int:
 
 
 def _bounds(inst, j, g):
-    """Polytope ``j``'s vertex bounds of the point at position ``g`` as
+    """Image ``j``'s bounds of the point at position ``g`` as
     ``Fraction``s."""
     den = inst._ints[1]
     return tuple(F(b, den) for b in inst._bounds(j, g))
@@ -447,10 +465,11 @@ def _bounds(inst, j, g):
 def _assert_bounds_agree(inst, seen):
     """Every bit an exact polytope's vertex bounds settle is the one its
     programs decide, at eps 0, 1/7 and the margin itself, for the point at
-    every position of every image; a finite image's bits, set margins and
-    pool are those of scans by position, and every table the vectorizer
-    reads is the programs' and scans' own."""
-    targets, cone = range(len(inst._points)), inst.cone
+    every position of every image; a finite image's bounds are its point
+    margin twice, and its bits, set margins and pool are those of scans
+    by position; every table the vectorizer reads is the programs' and
+    scans' own."""
+    targets, cone, den = range(len(inst._points)), inst.cone, inst._ints[1]
     for j, img in enumerate(inst.images):
         finite = img.is_finite
         mus = [max(margin(y, p, cone) for y in img.points) if finite
@@ -459,14 +478,14 @@ def _assert_bounds_agree(inst, seen):
         for g, mu in zip(targets, mus):
             # at the tie bits are settled when lb == mu or ub == mu
             assert inst._bits(j, [g], mu, 0, True) == (0, 0)
+            lb, ub = _bounds(inst, j, g)
+            assert lb <= mu <= ub and (lb < ub or lb == mu)
             if finite:
+                assert inst._bounds(j, g) == (mu * den, mu * den)
                 assert inst.strongly_dominates(j, g, mu, 0) == \
                     strong_membership_slack(inst._points[g], img, cone, 0,
                                             mu)[0]
                 seen["finite competitor"] += 1
-                continue
-            lb, ub = _bounds(inst, j, g)
-            assert lb <= mu <= ub and (lb < ub or lb == mu)
             if lb < mu == ub:
                 assert inst.strongly_dominates(j, g, mu, 0) == \
                     inst.strong_slack(j, g, mu, 0)[0]
@@ -622,23 +641,43 @@ def test_a_float_eps_and_the_equal_rational_keep_apart():
 
 def test_equal_points_of_two_images_are_solved_once(orthant, monkeypatch):
     # a point that two images hold has two positions but one stored
-    # margin and one stored strong slack per competitor, so a polytope
-    # solves each program for it once
+    # margin, one pair of bounds and one stored strong slack per
+    # competitor, so a polytope solves each program for it once and a
+    # finite image scans it once per shift.  (7/18, 2/9) is q - e/9 and
+    # (7/18, 1/9) a distinct point of the same margin 1/9: a tie the
+    # strong bit of the last image settles by its scan
     q = (F(1, 2), F(1, 3))
-    inst = build_instance(orthant, [("a", (0,)), ("b", (1,)), ("c", (2,))], [
+    inst = build_instance(orthant, [(c, (t,)) for t, c in enumerate("abcd")], [
         polytope([(F(0), F(1)), (F(1), F(0)), (F(2), F(2))]),
-        finite_set([q, (F(3), F(-1))]), finite_set([(F(-1), F(4)), q])])
+        finite_set([q, (F(3), F(-1))]), finite_set([(F(-1), F(4)), q]),
+        finite_set([(F(7, 18), F(2, 9)), (F(7, 18), F(1, 9))])])
     g, h = inst._first[1], inst._first[2] + 1
     assert inst._points[g] == inst._points[h] == q
-    solved = []
+    solved, scanned = [], []
 
     def counted(prog, tol=None):
         solved.append(prog)
         return real(prog, tol)
 
+    def scan(*args):
+        scanned.append(args)
+        return strong_membership_slack(*args)
+
     real = setopt.imagesets.lp_maximize
     monkeypatch.setattr(setopt.imagesets, "lp_maximize", counted)
+    monkeypatch.setattr(setopt.instance, "strong_membership_slack", scan)
     assert inst.point_margin(0, g, 0) is inst.point_margin(0, h, 0)
-    assert inst.strong_slack(0, g, F(1, 9), 0) is \
-        inst.strong_slack(0, h, F(1, 9), 0)
+    for j in range(4):
+        assert inst._bounds(j, g) is inst._bounds(j, h)
+    assert inst._bounds(3, g) == (inst._ints[1] / 9,) * 2
+    for j, eps in ((0, F(1, 9)), (3, F(1, 9)), (3, 0)):
+        for _ in range(2):
+            assert inst.strong_slack(j, g, eps, 0) is \
+                inst.strong_slack(j, h, eps, 0)
+            assert inst.strongly_dominates(j, g, eps, 0) == \
+                inst.strongly_dominates(j, h, eps, 0)
+    assert inst.strong_slack(3, g, F(1, 9), 0) == (
+        True, (F(7, 18), F(1, 9)), None)
     assert len(solved) == 2
+    assert [args[1] for args in scanned] == [inst.images[0]] + [
+        inst.images[3]] * 2
