@@ -1,11 +1,11 @@
 """Scalar and vector arithmetic shared by every module.
 
-Two numeric regimes coexist.  In float mode, comparisons are guarded by
-an absolute tolerance (``DEFAULT_TOL``).  In exact mode every quantity
-is rational and the tolerance is the integer ``0``, so every threshold
-comparison is decided exactly.  A question is exact only when its cone,
-its images and its own numbers are all rational.  Vectors are plain
-tuples; both regimes flow through the same code paths.
+The resolved tolerance alone picks the arithmetic.  At tol 0 every
+number is read as its exact rational (``as_integer_ratio``; a float is
+dyadic), so every threshold comparison is decided exactly.  A positive
+tol compares true values within tol.  Unset, tol is 0 when a question's
+cone, images and own numbers are all rational, else ``DEFAULT_TOL``.
+Vectors are plain tuples.
 """
 
 from __future__ import annotations
@@ -33,6 +33,15 @@ def div(a: Num, b: Num) -> Num:
     return Fraction(a, b)
 
 
+def check_number(x, name: str = "eps", positive: bool = False) -> None:
+    """Refuse ``x`` (an eps, a tol, a squared radius) unless it is a finite
+    number ``>= 0`` (``> 0`` with ``positive``)."""
+    if (isinstance(x, bool) or not isinstance(x, (int, float, Fraction))
+            or not (0 < x if positive else 0 <= x) or x == math.inf):
+        sign = "positive" if positive else "nonnegative"
+        raise ValidationError(f"{name} must be finite and {sign}, got {x!r}")
+
+
 def resolve_tol(tol, *samples: Num) -> Num:
     """``tol``, any zero as the int 0 (``b - 0.0`` would round an exact
     ``b``), else 0 when all ``samples`` are rational and ``DEFAULT_TOL``
@@ -40,10 +49,7 @@ def resolve_tol(tol, *samples: Num) -> Num:
     own numbers are all rational: it resolves by ``imagesets.question_tol``.
     An explicit ``tol`` must be a finite number ``>= 0``."""
     if tol is not None:
-        if (isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction))
-                or not 0 <= tol < math.inf):
-            raise ValidationError(
-                f"tol must be a finite number >= 0, got {tol!r}")
+        check_number(tol, "tol")
         return tol or 0
     return 0 if all(is_exact(s) for s in samples) else DEFAULT_TOL
 
@@ -57,15 +63,22 @@ def gt(a: Num, b: Num, tol: Num) -> bool:
 
 
 def lcd(values) -> int:
-    """The least common denominator of rational ``values``."""
+    """The least common denominator of ``values``, each read exactly."""
     # a list, not a generator: unpacking a generator into math.lcm
     # grew the heap with every call on CPython 3.11
-    return math.lcm(*[v.denominator for v in values])
+    return math.lcm(*[v.as_integer_ratio()[1] for v in values])
 
 
 def ints_over(values, den) -> tuple:
-    """Rational ``values`` times ``den``, a common denominator, as ints."""
-    return tuple([v.numerator * (den // v.denominator) for v in values])
+    """``values`` times ``den``, a common denominator, as ints."""
+    return tuple([n * (den // d)
+                  for n, d in [v.as_integer_ratio() for v in values]])
+
+
+def ceil_floor(x: Num, den: int) -> tuple:
+    """``(ceil, floor)`` of ``x * den`` in ints, ``den`` a positive int."""
+    n, d = x.as_integer_ratio()
+    return -(-n * den // d), n * den // d
 
 
 def num_finite(x: Num) -> bool:

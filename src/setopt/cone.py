@@ -15,12 +15,14 @@ anything else runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .arith import (Num, Vec, div, dot, norm_sq, num_finite,
-                    resolve_tol, vsub)
+from .arith import (Num, Vec, check_number, div, dot, norm_sq,
+                    num_finite, resolve_tol, vsub)
 from .errors import DimMismatch, NotInterior, NotPointed, ValidationError, ZeroRow
 from .lp import LinearProgram, lp_feasible
 
@@ -33,6 +35,14 @@ class Cone:
     e: tuple     # interior direction, A e > 0
     m: int
     row_e: tuple  # a_j.e per row, positive; fixed once by validate_cone
+
+    @functools.cached_property
+    def rational(self) -> Cone:
+        """The cone read exactly, validated (itself if none is a float)."""
+        if not any(isinstance(v, float) for v in chain(self.e, *self.rows)):
+            return self
+        return validate_cone([map(Fraction, r) for r in self.rows],
+                             map(Fraction, self.e))
 
 
 def _rank(rows, m, tol) -> int:
@@ -106,8 +116,7 @@ def r_epsilon_sq(cone: Cone, eps: Num, gamma: Num = DEFAULT_GAMMA) -> Num:
     Exact for rational data; used by the covering-based budget bound so
     that ball-membership tests stay threshold comparisons.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    check_number(eps, positive=True)
     if not 0 < gamma < 1:
         raise ValidationError("gamma must lie strictly between 0 and 1")
     ratio_sq = min(div(de ** 2, norm_sq(row))

@@ -6,29 +6,30 @@ dominate a shifted point, Hausdorff distance, internal covering
 numbers, extreme-point pruning, and the domination (external
 stability) check.
 
-Every question about a finite image reads the margins of its points to
-one target from one kernel, ``_Margins``: on rational data at tol 0
-they are ints over one denominator, from the cone coordinates
-``a_j.y / a_j.e`` the image keeps as int rows, otherwise ``cone.margin``
-values compared within tol.  A target, like each of those rows, costs
-one int conversion with no ``Fraction`` arithmetic (``_target``):
-scaled to ints over its least common denominator, dotted with the
-cone's rows ``a_j / a_j.e`` kept as ints over one denominator, and
-reduced by one gcd.  A polytope keeps the cone products ``a_j.v`` of
-its vertices, and builds each of its two linear programs, the point
-margin and the strong slack, on its first solve (``lp``); a target
-changes only their right-hand side ``-A.t``.  ``Instance`` asks them
-only about its own points, read by position, and at tol 0 reads every
-competitor's table bits and strong bits off its own int rows: a finite
-image's best row margin is the point margin, a polytope's lies between
-it and the ideal point's (Gerth & Weidner, JOTA 67, 1990), so a program
-is solved, or a finite image scanned, only at a tie, where the bounds
-leave a verdict open, or for a certificate.  An image keeps this data
-for the last cone asked.
-Extreme-point pruning sweeps the hull (Andrew's monotone chain) for
-exact planar vertex lists and solves one linear program per vertex
-otherwise.  ``question_tol`` resolves every question's default
-tolerance, over its cone, its images and its own numbers.
+At tol 0 every number (cone via ``Cone.rational``, points, targets,
+eps) is read exactly; a positive tol compares true values within tol.
+A finite image's margins to one target come from one kernel,
+``_Margins``: at tol 0 ints over one denominator, from the cone
+coordinates ``a_j.y / a_j.e`` the image keeps as int rows, otherwise
+``cone.margin`` values.  A target, like each of those rows, costs one
+int conversion with no ``Fraction`` arithmetic (``_target``): scaled to
+ints over its least common denominator, dotted with the cone's rows
+``a_j / a_j.e`` kept as ints over one denominator, and reduced by one
+gcd.  A polytope keeps the cone products ``a_j.v`` of its vertices, and
+builds each of its two linear programs, the point margin and the strong
+slack, on its first solve (``lp``); a target changes only their
+right-hand side ``-A.t``.  ``Instance`` asks them only about its own
+points, read by position, and at tol 0 reads every competitor's table
+bits and strong bits off its own int rows: a finite image's best row
+margin is the point margin, a polytope's lies between it and the ideal
+point's (Gerth & Weidner, JOTA 67, 1990), so a program is solved, or a
+finite image scanned, only at a tie, where the bounds leave a verdict
+open, or for a certificate.  An image keeps this data for the last cone
+and arithmetic asked.  Extreme-point pruning sweeps the hull (Andrew's
+monotone chain) for planar vertex lists at tol 0 and solves one linear
+program per vertex otherwise.  ``question_tol`` resolves every
+question's default tolerance, over its cone, its images and its own
+numbers.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from fractions import Fraction
 from itertools import chain
 from operator import mul, sub
 
-from .arith import (Num, Vec, dist_sq, dot, ge, gt, ints_over, is_exact, lcd,
-                    num_finite, resolve_tol, veq, vscale, vsub)
+from .arith import (Num, Vec, ceil_floor, check_number, dist_sq, dot, gt,
+                    ints_over, lcd, num_finite, resolve_tol, veq, vscale,
+                    vsub)
 from .cone import Cone, margin
 from .errors import DimMismatch, EmptyImage, ValidationError
 from .lp import LinearProgram, lp_feasible, lp_maximize
@@ -53,10 +55,10 @@ POLYTOPE = "polytope"
 class ImageSet:
     kind: str                 # "finite" or "polytope"
     points: tuple             # points, or polytope vertices
-    # (cone, _cone_products data) for the last cone asked, set on first
-    # use; a class-level default, so an image never asked carries
-    # nothing.  Points never change, so the data stays valid while the
-    # cone is the same object.
+    # (cone, _cone_products data) for the last cone and arithmetic
+    # asked, set on first use; a class-level default, so an image never
+    # asked carries nothing.  Points never change, so the data stays
+    # valid while the cone is the same object.
     _products: tuple | None = field(default=None, init=False, repr=False,
                                     compare=False)
 
@@ -106,21 +108,20 @@ class _Margins:
     """The margin kernel of finite images: for a target point ``q``,
     ``margins`` yields ``margin(y, q)`` for each point ``y``, lazily and
     in image order; ``positions`` are the points' positions and ``t``
-    that of ``q``.  On rational data at tol 0 or None (margins are the
-    same numbers either way; only thresholds read tol) a position is an
-    int row of cone coordinates over ``den`` (``d`` times the image's),
-    equal only for equal points as A has full column rank, and a margin
-    the int ``min_j t_j - w_j``.  Otherwise positions are the points,
-    margins ``cone.margin`` values and ``den`` None."""
+    that of ``q``.  At a resolved tol of 0 every number is read exactly:
+    a position is an int row of cone coordinates over ``den`` (``d``
+    times the image's), equal only for equal points as A has full column
+    rank, and a margin the int ``min_j t_j - w_j``.  At a positive tol
+    positions are the points, margins ``cone.margin`` values and ``den``
+    None."""
 
     def __init__(self, image: ImageSet, cone: Cone, q: Vec, tol):
-        coords = None if tol else _cone_products(image, cone)
         self.tol, self.e, self.den = tol, cone.e, None
-        if coords is None or not all(map(is_exact, q)):
+        if tol:
             self.t, self.positions = q, image.points
             self.margins = (margin(y, q, cone) for y in image.points)
             return
-        rows, den, coef = coords
+        rows, den, coef = _cone_products(image, cone.rational)
         t, d = _target(q, coef, den)  # an own point's row, with d == 1
         self.den, self.t = den * d, t
         self.positions = rows if d == 1 else (  # each scaled when read
@@ -138,8 +139,7 @@ class _Margins:
             peak = vsub(self.t, vscale(eps, self.e)) if distinct else None
             return (eps - self.tol, eps + self.tol,
                     peak and (lambda w: veq(w, peak, self.tol)))
-        shift = (eps if is_exact(eps) else Fraction(eps)) * self.den
-        lo, hi = math.ceil(shift), math.floor(shift)
+        lo, hi = ceil_floor(eps, self.den)
         return lo, hi, (tuple([v - lo for v in self.t]).__eq__
                         if distinct and lo == hi else None)
 
@@ -196,12 +196,13 @@ def point_margin_with_witness(b: Vec, image: ImageSet, cone: Cone,
     margin program (None when it is degenerate)."""
     if len(b) != cone.m:
         raise DimMismatch("point dimension differs from cone dimension")
+    tol = question_tol(tol, cone, (image,), *b)
     if image.is_finite:
         scan = _Margins(image, cone, b, tol)
         ms = list(scan.margins)
         best = max(ms)
         return scan.value(best), image.points[ms.index(best)]
-    prog, rows, ints = _program(image, cone, slack=False)
+    prog, rows, ints = _program(image, cone, False, tol)
     prog = prog._with_ge_rhs(_neg_dots(rows, ints, b)[:-1])
     out = lp_maximize(prog, tol=tol)
     if not out.is_optimal:
@@ -228,8 +229,11 @@ def strong_membership_slack(target: Vec, image: ImageSet, cone: Cone,
         a = next(dominators(image, cone, target, eps, tol, distinct=True),
                  None)
         return (False, None, None) if a is None else (True, a, None)
+    if not tol:  # the shifted target read exactly
+        cone, eps = cone.rational, Fraction(eps)
+        target = tuple(map(Fraction, target))
     target = vsub(target, vscale(eps, cone.e))
-    prog, rows, ints = _program(image, cone, slack=True)
+    prog, rows, ints = _program(image, cone, True, tol)
     *rhs, neg_total = _neg_dots(rows, ints, target)
     out = lp_maximize(prog._with_ge_rhs(tuple(rhs)), tol=tol)
     if not out.is_optimal:
@@ -245,7 +249,7 @@ def dominators(image: ImageSet, cone: Cone, q: Vec, eps: Num, tol,
     """The points ``y`` of a finite image, in image order, that dominate
     ``q`` at the shift: ``margin(y, q) >= eps`` (``> eps`` when
     ``strict``), and ``y != q - eps*e`` when ``distinct``, each within
-    ``tol``."""
+    ``tol``, a resolved one."""
     scan = _Margins(image, cone, q, tol)
     lo, hi, at_peak = scan.bars(eps, distinct)
     return (y for y, m, w in zip(image.points, scan.margins, scan.positions)
@@ -253,37 +257,38 @@ def dominators(image: ImageSet, cone: Cone, q: Vec, eps: Num, tol,
             and not (at_peak and at_peak(w)))
 
 
-def _cone_products(image: ImageSet, cone: Cone):
+def _cone_products(image: ImageSet, cone: Cone, exact: bool = True):
     """A polytope's ``[rows, ints, slack_rows, objective, margin, slack]``:
-    the rows ``a_1, ..., a_J, sum_j a_j``, those as ints, ``-r.v`` for
-    each row ``r`` and vertex ``v``, and the slots of the programs
-    ``_program`` builds.  A finite image's ``(rows, den, coef)``, None
-    unless all is rational: ``rows[i][j] / den = a_j.y_i / a_j.e`` in
+    the rows ``a_1, ..., a_J, sum_j a_j``, when ``exact`` those as ints
+    (else None), ``-r.v`` for each row ``r`` and vertex ``v``, and the
+    slots of the programs ``_program`` builds.  A finite image's ``(rows,
+    den, coef)``, always exact: ``rows[i][j] / den = a_j.y_i / a_j.e`` in
     ints, each row converted by ``_target``, and ``coef = (crows, c)``
-    with ``crows[j] / c = a_j / a_j.e`` in ints.  Kept for the cone last
-    asked."""
+    with ``crows[j] / c = a_j / a_j.e`` in ints.  ``exact`` asks for a
+    rational cone.  Kept for the cone and the arithmetic last asked."""
     kept = image._products
-    if kept is None or kept[0] is not cone:
-        kept = (cone, (_coordinates if image.is_finite else _products)(
-            image.points, cone))
+    if kept is None or kept[0] is not cone or (kept[1][1] is None) == exact:
+        kept = (cone, _coordinates(image.points, cone) if image.is_finite
+                else _products(image.points, cone, exact))
         object.__setattr__(image, "_products", kept)  # frozen dataclass
     return kept[1]
 
 
-def _products(verts, cone) -> list:
+def _products(verts, cone, exact) -> list:
     rows = (*cone.rows, tuple(sum(col) for col in zip(*cone.rows)))
-    # each row as (ints, den), row = ints / den, when all is rational
+    # each row as (ints, den), row = ints / den
     ints = ([(ints_over(r, den), den) for r in rows for den in [lcd(r)]]
-            if all(is_exact(v) for r in rows for v in r) else None)
+            if exact else None)
     *slack_rows, objective = zip(*(_neg_dots(rows, ints, v) for v in verts))
     return [rows, ints, tuple(slack_rows), objective, None, None]
 
 
-def _program(image: ImageSet, cone: Cone, slack: bool):
+def _program(image: ImageSet, cone: Cone, slack: bool, tol):
     """``(program, rows, ints)``: the polytope's strong-slack program
     (else its point-margin program) for the target 0, whose right-hand
     side ``-A.t`` is all a target changes, built on its first solve."""
-    kept = _cone_products(image, cone)
+    cone = cone if tol else cone.rational  # at tol 0, read exactly
+    kept = _cone_products(image, cone, not tol)
     if kept[4 + slack] is None:
         k, free = len(image.points), () if slack else (None,)  # eps free
         # margin: max eps  s.t.  sum(lam) = 1,  A(b - eps*e - V lam) >= 0,
@@ -299,10 +304,10 @@ def _program(image: ImageSet, cone: Cone, slack: bool):
 
 
 def _neg_dots(rows, ints, v) -> tuple:
-    """``-r.v`` for each of ``rows``: over ints, one ``Fraction`` per
-    row, when ``ints`` (the rows as ints over their denominators) is not
-    None and ``v`` is rational; otherwise by ``dot``."""
-    if ints is None or not all(map(is_exact, v)):
+    """``-r.v`` for each of ``rows``: with ``ints`` (the rows as ints
+    over their denominators) over ints, ``v`` read exactly, one
+    ``Fraction`` per row; otherwise by ``dot``."""
+    if ints is None:
         return tuple(-dot(r, v) for r in rows)
     d = lcd(v)
     z = ints_over(v, d)
@@ -311,8 +316,7 @@ def _neg_dots(rows, ints, v) -> tuple:
 
 
 def _coordinates(points, cone):
-    if not all(is_exact(v) for r in (cone.e, *cone.rows, *points) for v in r):
-        return None
+    """A finite image's ``_cone_products``, every number read exactly."""
     # a_j / a_j.e as ints over one denominator c, formed with the rows
     ratios = [[Fraction(a) / de for a in row]
               for row, de in zip(cone.rows, cone.row_e)]
@@ -324,7 +328,7 @@ def _coordinates(points, cone):
 
 
 def _target(point, coef, den):
-    """``(ints, d)``: the cone coordinates of a rational point times
+    """``(ints, d)``: the cone coordinates of a point, read exactly, times
     ``den``, as ints over the least positive ``d``.  With ``coef =
     (rows, c)``, the point scaled to ints ``z`` over ``lcd(point)``
     gives ``den * rows[j].z / (c * lcd(point))``, reduced by one gcd."""
@@ -387,13 +391,13 @@ def covering_number_internal(image: ImageSet, eps: Num,
     """
     if not image.is_finite:
         raise ValidationError("covering numbers are computed for finite images")
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    check_number(eps, positive=True)
     return cover_by_sq_radius(image.points, eps * eps, exact_cap, tol)
 
 
 def cover_by_sq_radius(points, radius_sq: Num, exact_cap: int = EXACT_COVER_CAP,
                        tol=None) -> CoveringResult:
+    check_number(radius_sq, "radius_sq")
     tol = resolve_tol(tol, *(v for p in points for v in p), radius_sq)
     pts = list(dict.fromkeys(tuple(p) for p in points))
     n = len(pts)
@@ -448,7 +452,7 @@ def prune_to_extreme(vertices, tol=None) -> tuple:
         raise EmptyImage("vertex list must be nonempty")
     coords = [v for p in pts for v in p]
     tol = resolve_tol(tol, *coords)
-    if tol == 0 and len(pts[0]) == 2 and all(map(is_exact, coords)):
+    if tol == 0 and len(pts[0]) == 2:
         return _planar_extreme(pts)
     pts = list(dict.fromkeys(pts))
     if len(pts) == 1:
@@ -462,8 +466,8 @@ def prune_to_extreme(vertices, tol=None) -> tuple:
 
 
 def _planar_extreme(pts) -> tuple:
-    """The vertices of the hull of rational planar points, each once, in
-    input order: Andrew's monotone chain on the points as ints over their
+    """The vertices of the hull of planar points, each once, in input
+    order: Andrew's monotone chain on the points as exact ints over their
     common denominator, dropping repeats and collinear points."""
     den, first = lcd(chain(*pts)), {}
     for p in pts:  # each distinct point as ints, at its first occurrence
@@ -499,10 +503,7 @@ def domination_check(image: ImageSet, cone: Cone, tol=None) -> bool:
     convex cone; exposed as a test oracle.
     """
     tol = question_tol(tol, cone, (image,))
-    mins = min_elements(image, cone, weak=False, tol=tol)
-    if not mins:
-        return False
-    for a in image.points:
-        if not any(ge(margin(mn, a, cone), 0, tol) for mn in mins):
-            return False
-    return True
+    mins = set(min_elements(image, cone, weak=False, tol=tol))
+    return bool(mins) and all(
+        any(y in mins for y in dominators(image, cone, a, 0, tol))
+        for a in image.points)

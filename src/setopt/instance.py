@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arith import (Num, div, dot, format_vector, ge, gt, is_exact,
-                    parse_number, veq, vscale, vsub)
+from .arith import (Num, ceil_floor, check_number, div, dot, format_vector,
+                    ge, gt, parse_number, veq, vscale, vsub)
 from .cone import Cone, validate_cone
 from .errors import (DimMismatch, DuplicateLabel, EmptyImage, ParseError,
                      ValidationError)
@@ -103,24 +103,16 @@ class Instance:
 
     @functools.cached_property
     def _ints(self):
-        """``(rows, den, per, ideals, kept)`` on rational data, else None:
+        """``(rows, den, per, ideals, kept)``, every number read exactly:
         ``rows[g][j] / den = a_j.y / a_j.e`` in ints for the point at
         position ``g`` (``_coordinates``), each image's rows, a polytope's
         least value per row (its ideal point; None for a finite image), and
         per competitor its ``_bounds`` by slot, filled on first use."""
-        got = _coordinates(self._points, self.cone)
-        if got:
-            rows, den, _ = got
-            per = [rows[a:b] for a, b in zip(self._first, self._first[1:])]
-            ideals = [None if img.is_finite else tuple(map(min, zip(*r)))
-                      for img, r in zip(self.images, per)]
-            return rows, den, per, ideals, [[None] * len(rows) for _ in per]
-
-    def _bar(self, eps, tol):
-        """``(ceil, floor)`` of ``eps * den`` at tol 0 on rational data."""
-        if not tol and self._ints:  # eps * den = n * den / d, in ints
-            n, d = eps.as_integer_ratio()
-            return -(-n * self._ints[1] // d), n * self._ints[1] // d
+        rows, den, _ = _coordinates(self._points, self.cone.rational)
+        per = [rows[a:b] for a, b in zip(self._first, self._first[1:])]
+        ideals = [None if img.is_finite else tuple(map(min, zip(*r)))
+                  for img, r in zip(self.images, per)]
+        return rows, den, per, ideals, [[None] * len(rows) for _ in per]
 
     @staticmethod
     def _gap(z, w) -> int:
@@ -153,11 +145,10 @@ class Instance:
     def strong_slack(self, j: int, g: int, eps, tol):
         """``strong_membership_slack`` of the point at position ``g``
         shifted by ``eps`` against image ``j`` (a finite image's scan, a
-        polytope's program), computed once per eps and tol; on rational
-        data a float eps apart from the equal rational (a program shifts by
-        it in floats)."""
+        polytope's program), computed once per eps and tol; at tol 0 eps
+        is read exactly, so a float eps and the equal rational share one."""
         slacks = self._tables(tol)[3]
-        key = j, self._slot[g], eps, isinstance(eps, float) and bool(self._ints)
+        key = j, self._slot[g], eps
         got = slacks.get(key)
         if got is None:
             got = slacks[key] = strong_membership_slack(
@@ -170,7 +161,7 @@ class Instance:
         ``>= eps`` within tol, off ``_bounds`` when both agree (a finite
         image's always do) and else off the stored margin, and for the min
         kind those of them it strongly dominates (0 for the weak kind)."""
-        bar = self._bar(eps, tol)
+        bar = not tol and ceil_floor(eps, self._ints[1])  # of eps * den
         cut = bar and (bar[1] + 1 if weak else bar[0])  # a margin clears it
         d = x = 0
         for i, g in enumerate(at):
@@ -189,15 +180,14 @@ class Instance:
     def strongly_dominates(self, j: int, g: int, eps, tol) -> bool:
         """Whether the point at position ``g`` minus ``eps*e`` lies in
         image ``j`` plus K minus the origin (``strong_slack(j, g, eps,
-        tol)[0]``).  At tol 0 on rational data and an exact eps, every
-        image reads ``lb <= mu <= ub`` (``_bounds``): true when ``lb >
-        eps``, false when ``ub < eps``, else off its stored margin, and its
-        strong slack only at ``mu == eps``.  On float data a finite image
+        tol)[0]``).  At tol 0, every number read exactly, every image
+        reads ``lb <= mu <= ub`` (``_bounds``): true when ``lb > eps``,
+        false when ``ub < eps``, else off its stored margin, and its strong
+        slack only at ``mu == eps``.  At a positive tol a finite image
         reads its stored margin ``(mu, w)``: false when ``mu < eps`` within
         tol, true when ``w`` is not the shifted point, else its strong
-        slack; all else (a float eps, which a program shifts by in floats,
-        or a polytope on float data) reads the strong slack."""
-        bar = is_exact(eps) and self._bar(eps, tol)
+        slack; a polytope reads the strong slack."""
+        bar = not tol and ceil_floor(eps, self._ints[1])
         if bar:
             (lb, ub), (lo, hi) = self._bounds(j, g), bar
             if lb > hi or ub < lo:
@@ -206,7 +196,7 @@ class Instance:
                 mu = self.point_margin(j, g, tol)[0]
                 if mu != eps:
                     return mu > eps
-        elif self.images[j].is_finite and not self._bar(0, tol):
+        elif self.images[j].is_finite:
             mu, w = self.point_margin(j, g, tol)
             if not ge(mu, eps, tol):
                 return False
@@ -228,7 +218,7 @@ class Instance:
 
     def _set_margin(self, i, k, tol):
         at = range(*self._first[k:k + 2])
-        if self.images[i].is_finite or not self._bar(0, tol):
+        if self.images[i].is_finite or tol:
             return min(self.point_margin(i, g, tol)[0] for g in at)
         low, den = math.inf, self._ints[1]  # low: times den
         for lb, ub, g in sorted(((*self._bounds(i, g), g) for g in at),
@@ -253,7 +243,7 @@ class Instance:
                 at = [img.points.index(p)
                       for p in min_elements(img, self.cone, False, tol)]
             else:  # a vertex with another vertex K-below it is not minimal
-                rows = self._bar(0, tol) and self._ints[2][i]
+                rows = not tol and self._ints[2][i]
                 at = [t for t in range(len(img.points)) if not (
                     rows and sum(self._gap(rows[t], w) >= 0
                                  for w in rows) > 1)
@@ -403,8 +393,7 @@ def discretize_map(inst: Instance, eps: Num, tol=None) -> Instance:
     The result's images are subsets of the originals and the instance
     distance to the original is at most eps.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    check_number(eps, positive=True)
     new_images = []
     for img in inst.images:
         if not img.is_finite:

@@ -5,21 +5,21 @@ polytope membership systems, dual-cone feasibility, slack
 maximization), so a tableau with Bland's anti-cycling rule is both
 fast enough and easy to trust.
 
-A program whose numbers are all rational and whose resolved tolerance
-is 0 pivots on integers.  Its standard form is built on ints, with no
-``Fraction`` arithmetic: the rows and right-hand sides are scaled by the
-common denominator of their entries times that of the lower bounds
-(the artificial columns keep coefficient 1), and the phase-two
-objective by its own; every row then shares one positive denominator
-``d``, and each pivot is an Edmonds-Bareiss update
+A program whose resolved tolerance is 0 pivots on integers, every
+number read exactly (a float is dyadic).  Its standard form is built on
+ints, with no ``Fraction`` arithmetic: the rows and right-hand sides are
+scaled by the common denominator of their entries times that of the
+lower bounds (the artificial columns keep coefficient 1), and the
+phase-two objective by its own; every row then shares one positive
+denominator ``d``, and each pivot is an Edmonds-Bareiss update
 ``(t_ij * p - t_ic * t_rj) // d`` that divides exactly.  Scaling every
 row by one positive factor multiplies the phase-one objective by that
 factor and leaves the ratios unchanged, so each entering and leaving
 choice has the sign and the order it has on the ``Fraction`` tableau:
 the pivot sequence, status, value and point are the same, and
-``Fraction``s are built only for the returned numbers.
-Float data, and rational data at a nonzero tolerance, keep the dense
-tableau of true entries compared within ``tol``.
+``Fraction``s are built only for the returned numbers.  A positive
+tolerance keeps the dense tableau of true entries compared within
+``tol``.
 
 What a right-hand side leaves alone is prepared once per matrix: a
 program checks its objective, rows and bounds, decides whether they are
@@ -300,7 +300,8 @@ class _Integral:
     @staticmethod
     def num(x, scale):
         """``x`` times ``scale``, a multiple of its denominator."""
-        return x.numerator * (scale // x.denominator)
+        n, d = x.as_integer_ratio()
+        return n * (scale // d)
 
     def pivot(self, tab, obj, r, c):
         prow = tab[r]
@@ -406,23 +407,17 @@ def _extract(std: _Standard, tab, basis, arith) -> tuple:
     return std.recover(z)
 
 
-def _exact(prog: LinearProgram) -> bool:
-    """Whether every number of ``prog`` is rational."""
-    return prog._matrix.exact and all(
-        map(is_exact, (*prog.eq_rhs, *prog.ge_rhs)))
+def _tol(prog: LinearProgram, tol):
+    """``tol`` resolved, over the numbers of ``prog`` only when None."""
+    if tol is None and not prog._matrix.exact:
+        return DEFAULT_TOL
+    return resolve_tol(tol, *prog.eq_rhs, *prog.ge_rhs)
 
 
 def _arith(prog: LinearProgram, tol):
-    """The integer tableau for rational data at tolerance 0, else the
-    dense one; ``tol`` is resolved over the program only when None."""
-    exact = _exact(prog)
-    if tol is None:
-        tol = 0 if exact else DEFAULT_TOL
-    else:
-        tol = resolve_tol(tol)
-    if tol == 0 and exact:
-        return _Integral()
-    return _Dense(tol)
+    """The integer tableau at tolerance 0, else the dense one."""
+    tol = _tol(prog, tol)
+    return _Dense(tol) if tol else _Integral()
 
 
 def lp_feasible(prog: LinearProgram, tol=None) -> Feasibility:
@@ -457,16 +452,16 @@ def lp_maximize(prog: LinearProgram, tol=None) -> Outcome:
 
 def check_point(prog: LinearProgram, point: Sequence[Num], tol=None) -> bool:
     """Verify that a point satisfies every constraint within tolerance."""
-    if tol is None:
-        tol = 0 if _exact(prog) else DEFAULT_TOL
+    tol = _tol(prog, tol)
+    num = (lambda v: v) if tol else Fraction  # at 0, read exactly
     for row, b in zip(prog.eq_lhs, prog.eq_rhs):
-        if abs(dot(row, point) - b) > tol:
+        if abs(dot(map(num, row), map(num, point)) - num(b)) > tol:
             return False
     for row, b in zip(prog.ge_lhs, prog.ge_rhs):
-        if dot(row, point) < b - tol:
+        if dot(map(num, row), map(num, point)) < num(b) - tol:
             return False
     if prog.lower_bounds is not None:
         for x, lb in zip(point, prog.lower_bounds):
-            if lb is not None and x < lb - tol:
+            if lb is not None and num(x) < num(lb) - tol:
                 return False
     return True

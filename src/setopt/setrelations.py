@@ -16,9 +16,10 @@ independently of the solver path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
-from .arith import Num, dot, ge, gt, vscale, vsub
+from .arith import Num, check_number, dot, ge, gt, veq, vscale, vsub
 from .cone import Cone, margin
 from .errors import DimMismatch, ValidationError
 from .imagesets import (ImageSet, point_margin, point_margin_with_witness,
@@ -61,8 +62,7 @@ def set_relation(a: ImageSet, b: ImageSet, cone: Cone, kind: str,
         raise ValidationError(f"unknown relation kind {kind!r}")
     if a.m != b.m:
         raise DimMismatch("images of different dimension")
-    if eps < 0:
-        raise ValidationError("eps must be nonnegative")
+    check_number(eps)
     tol = question_tol(tol, cone, (a, b), eps)
     if kind == LOWER_STRONG:
         return _relation(
@@ -104,6 +104,8 @@ def verify_certificate(a: ImageSet, b: ImageSet, cone: Cone,
     """Re-check a certificate from its raw ingredients only."""
     eps = cert.epsilon
     tol = question_tol(tol, cone, (a, b), eps)
+    vec = tuple if tol else (lambda v: tuple(map(Fraction, v)))  # exact
+    cone, eps = (cone, eps) if tol else (cone.rational, Fraction(eps))
     if not cert.holds:
         target = cert.failing_target
         if target is None or tuple(target) not in set(b.points):
@@ -117,11 +119,11 @@ def verify_certificate(a: ImageSet, b: ImageSet, cone: Cone,
     if targets != set(b.points):
         return False
     for w in cert.witnesses:
-        shifted = vsub(w.target, vscale(eps, cone.e))
+        shifted = vsub(vec(w.target), vscale(eps, cone.e))
         if w.point is not None:
             if tuple(w.point) not in set(a.points):
                 return False
-            mg = margin(w.point, w.target, cone)
+            mg = margin(vec(w.point), vec(w.target), cone)
             if cert.kind == LOWER_STRICT and not gt(mg, eps, tol):
                 return False
             if cert.kind == LOWER and not ge(mg, eps, tol):
@@ -129,15 +131,15 @@ def verify_certificate(a: ImageSet, b: ImageSet, cone: Cone,
             if cert.kind == LOWER_STRONG:
                 if not ge(mg, eps, tol):
                     return False
-                if all(abs(x - y) <= tol for x, y in zip(w.point, shifted)):
+                if veq(vec(w.point), shifted, tol):
                     return False
         elif w.multipliers is not None:
-            lam = w.multipliers
+            lam = vec(w.multipliers)
             if len(lam) != len(a.points):
                 return False
             if any(l < -tol for l in lam) or abs(sum(lam) - 1) > tol:
                 return False
-            y = tuple(sum(l * v[d] for l, v in zip(lam, a.points))
+            y = tuple(sum(l * v[d] for l, v in zip(lam, map(vec, a.points)))
                       for d in range(a.m))
             diff = vsub(shifted, y)
             slacks = [dot(row, diff) for row in cone.rows]

@@ -8,8 +8,8 @@ iff no x_i excludes it.  With S[i][k] the largest shift with
 * type-one: S[i][k] >= eps and S[k][i] < -eps,
 * type-two: the strong relation holds at shift eps, each point of
   F(x_k) read by ``Instance.strongly_dominates`` by its position in the
-  instance: at tol 0 on rational data off the int table's bounds for
-  either kind of F(x_i), else off the stored point margin, with a
+  instance: at tol 0, every number read exactly, off the int table's
+  bounds for either kind of F(x_i), else off the stored margin, with a
   stored scan or program of F(x_i) only at a tie with the shifted point.
 
 One scan per candidate meets the first such x_i in index order and
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .arith import Num, format_number, ge, gt
+from .arith import Num, check_number, format_number, ge, gt
 from .errors import ValidationError
 from .imagesets import question_tol
 from .instance import Instance
@@ -95,8 +95,7 @@ def solve_direct(inst: Instance, concept: str, eps: Num = 0,
                  tol=None) -> SolutionReport:
     if concept not in CONCEPTS:
         raise ValidationError(f"unknown concept {concept!r}")
-    if eps < 0:
-        raise ValidationError("eps must be nonnegative")
+    check_number(eps)
     tol = question_tol(tol, inst.cone, inst.images, eps)
     labels, images = inst.labels, inst.images
     k = len(labels)

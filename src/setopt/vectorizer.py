@@ -28,7 +28,7 @@ budget, any shift: replacing a tuple entry by a minimal point below it
 preserves survival) and the minimal vertices of polytope images (exact
 once the budget reaches the pool size; below that the verdict is sound
 but flagged incomplete).  Every competitor reads a pool by position
-(``Instance._bits``): at tol 0 on rational data off the instance's int
+(``Instance._bits``): at tol 0, every number read exactly, off the int
 table, whose bounds settle every bit of a finite image and most of a
 polytope's with no program, else off the stored point margins; the
 min kind's distinct-witness bit comes from
@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arith import Num, div, format_number, format_vector, ge, gt, veq, \
-    vscale, vsub
+from .arith import (Num, check_number, div, format_number, format_vector,
+                    ge, gt, veq, vscale, vsub)
 from .cone import DEFAULT_GAMMA, in_dual_cone, margin, r_epsilon_sq
 from .errors import CapExceeded, ValidationError, WeightNotInDualCone
 from .imagesets import cover_by_sq_radius, dominators, question_tol
@@ -388,8 +388,7 @@ def membership_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
     if kind not in VP_KINDS:
         raise ValidationError(f"unknown vectorization kind {kind!r}")
     _check_budget(p)
-    if eps < 0:
-        raise ValidationError("eps must be nonnegative")
+    check_number(eps)
     tol = question_tol(tol, inst.cone, inst.images, eps)
     members = []
     certificates = {}
@@ -417,8 +416,7 @@ def minimal_p(inst: Instance, label: str, eps: Num = 0, kind: str = VP_WEAK,
     solution set, or Never when no budget works."""
     if kind not in VP_KINDS:
         raise ValidationError(f"unknown vectorization kind {kind!r}")
-    if eps < 0:
-        raise ValidationError("eps must be nonnegative")
+    check_number(eps)
     tol = question_tol(tol, inst.cone, inst.images, eps)
     idx = inst.index_of(label)
     pool = inst.pool(idx, tol)
@@ -451,8 +449,7 @@ def covering_p_bound(inst: Instance, label: str, eps: Num,
                      gamma: Num = DEFAULT_GAMMA, tol=None) -> int:
     """Budget from the internal covering number of the image at the
     safe-ball radius; always sufficient for weak membership at eps."""
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    check_number(eps, positive=True)
     img = inst.image_of(label)
     if not img.is_finite:
         raise ValidationError("covering budgets need a finite image")
@@ -541,13 +538,14 @@ def brute_force_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
 
     Margins are computed here, once per call, from no image or instance
     cache, so a fault in the data the fast paths keep cannot reach the
-    oracle.  At tol 0 on rational data a point y becomes the ints
-    ``den * a_j.y / a_j.e`` (equal only for equal points, as A has full
-    column rank), e the all-ones vector and eps ``eps * den``.
+    oracle.  At tol 0, every number read exactly, a point y becomes the
+    ints ``den * a_j.y / a_j.e`` (equal only for equal points, as A has
+    full column rank), e the all-ones vector and eps ``eps * den``.
     """
     if kind not in VP_KINDS:
         raise ValidationError(f"unknown vectorization kind {kind!r}")
     _check_budget(p)
+    check_number(eps)
     if any(not img.is_finite for img in inst.images):
         raise ValidationError("the brute-force oracle needs finite images")
     tol = question_tol(tol, inst.cone, inst.images, eps)
@@ -558,16 +556,16 @@ def brute_force_vp(inst: Instance, p: int, eps: Num = 0, kind: str = VP_WEAK,
     cone = inst.cone
     images = [img.points for img in inst.images]
     gauge, unit, bar = (lambda y, q: margin(y, q, cone)), cone.e, eps
-    if tol == 0 and question_tol(None, cone, inst.images, eps) == 0:
-        z = {y: [sum(Fraction(a) * v for a, v in zip(row, y)) / de
-                 for row, de in zip(cone.rows, cone.row_e)]
+    if tol == 0:  # every number read exactly
+        z = {y: [sum(a * Fraction(v) for a, v in zip(row, y)) / de
+                 for row, de in zip(cone.rational.rows, cone.rational.row_e)]
              for y in itertools.chain(*images)}
         den = math.lcm(Fraction(eps).denominator,
                        *(v.denominator for zy in z.values() for v in zy))
         images = [[tuple(int(v * den) for v in z[y]) for y in pts]
                   for pts in images]
         gauge, unit, bar = ((lambda y, q: min([a - b for a, b in zip(q, y)])),
-                            (1,) * len(cone.rows), int(eps * den))
+                            (1,) * len(cone.rows), int(Fraction(eps) * den))
 
     k = len(inst.decisions)
     members = []

@@ -769,3 +769,36 @@ ORACLE_GOLDEN = {
 
 def test_oracle_under_skew_cones_matches_recorded_digests():
     assert _oracle_digests() == ORACLE_GOLDEN
+
+
+def test_float_layouts_at_tol_0_answer_as_their_exact_twins():
+    # at tol 0 every number is read as its exact rational, so the float
+    # layouts answer as their Fraction twins (the cone's too): the same
+    # members, and the same numbers as rationals
+    from setopt.imagesets import finite_set
+    from setopt.instance import build_instance
+    from setopt.vectorizer import brute_force_vp
+
+    def exact(v):
+        return tuple(map(F, v))
+
+    for *_, insts in _finite_layouts(False):
+        for inst in insts.values():
+            twin = build_instance(
+                validate_cone(map(exact, inst.cone.rows), exact(inst.cone.e)),
+                [(d.label, exact(d.x)) for d in inst.decisions],
+                [finite_set(map(exact, img.points)) for img in inst.images],
+                exact=True)
+            assert weak_threshold(inst, 0.0) == weak_threshold(twin, 0)
+            for eps in (0, 1 / 7):
+                for concept in CONCEPTS:
+                    assert solve_direct(inst, concept, eps, 0.0) == \
+                        solve_direct(twin, concept, F(eps), 0)
+                for kind, p in itertools.product(VP_KINDS, (1, 2)):
+                    assert membership_vp(inst, p, eps, kind, 0.0) == \
+                        membership_vp(twin, p, F(eps), kind, 0)
+                    assert brute_force_vp(inst, p, eps, kind, 0.0) == \
+                        brute_force_vp(twin, p, F(eps), kind, 0)
+                for kind, label in itertools.product(VP_KINDS, inst.labels):
+                    assert minimal_p(inst, label, eps, kind, 0.0) == \
+                        minimal_p(twin, label, F(eps), kind, 0)

@@ -291,7 +291,7 @@ def test_prune_lp_path_in_space_and_for_floats():
                                         (0.0, 1.0))
 
 
-def test_domination_property_holds(orthant, skew_cone):
+def test_domination_property_holds(orthant, skew_cone, monkeypatch):
     rng = random.Random(9)
     for cone in (orthant, skew_cone):
         for _ in range(30):
@@ -300,6 +300,17 @@ def test_domination_property_holds(orthant, skew_cone):
             assert domination_check(finite_set(points), cone)
     assert domination_check(finite_set(pts((3, 3))), orthant)
     assert domination_check(finite_set(pts((2, 0), (0, 2))), orthant)
+    # coordinates k/10 under a float skew cone: at tol 0 every number is
+    # read exactly, so no float margin is compared with 0
+    three_row = validate_cone([[1.0, 1 / 3], [1 / 5, 1.0], [1.0, -1 / 7]],
+                              [1.0, 1.0])
+    images = [finite_set([(rng.randint(-20, 20) / 10,
+                           rng.randint(-20, 20) / 10)
+                          for _ in range(rng.randint(1, 6))])
+              for _ in range(30)]
+    assert all(domination_check(img, three_row) for img in images)
+    monkeypatch.setattr(setopt.imagesets, "margin", None)  # not callable
+    assert all(domination_check(img, three_row, 0.0) for img in images)
 
 
 def test_minimal_vertices_of_fan(orthant):
@@ -489,26 +500,37 @@ def test_image_under_two_cones_answers_as_fresh_images(orthant, skew_cone):
 
 def test_exact_ints_and_float_margins_answer_alike(orthant, skew_cone,
                                                    orthant_float):
-    # integer points under cones whose a_j.e are powers of two make every
-    # float margin exact, so the float regime at tol 0.0 must answer as
-    # the int rows of the exact regime at tol 0, duplicates included
+    # at tol 0.0 every float is read as its exact rational, so floats
+    # answer as the int rows of their Fraction twins at tol 0, duplicates
+    # included: integer points under cones whose a_j.e are powers of two,
+    # where float margins are exact anyway, and coordinates k/10 under the
+    # goldens' skew cones, where they are not.  At the default tol, float
+    # data keeps float margins
     skew_float = validate_cone([[0.0, 1.0], [1.0, -1.0]], [1.0, 0.5])
+    golden = [validate_cone([[float(v) for v in row] for row in rows],
+                            [float(v) for v in e])
+              for rows, e in (([[2, 1], [1, 3]], [1, 1]),
+                              ([[1, F(1, 3)], [F(1, 5), 1], [1, F(-1, 7)]],
+                               [1, 1]))]
     rng = random.Random(16)
 
     def both(coords):
-        return (finite_set([tuple(map(F, p)) for p in coords]),
+        return (finite_set([tuple(F(float(v)) for v in p) for p in coords]),
                 finite_set([tuple(map(float, p)) for p in coords]))
 
-    def draw(size):
-        coords = [(rng.randint(-3, 3), rng.randint(-3, 3))
+    def draw(size, den):
+        coords = [(F(rng.randint(-3 * den, 3 * den), den),
+                   F(rng.randint(-3 * den, 3 * den), den))
                   for _ in range(size)]
         return coords + rng.sample(coords, rng.randint(0, size))
 
     cases = 0
-    for cone, fcone in ((orthant, orthant_float), (skew_cone, skew_float)):
+    for cone, fcone, den in ((orthant, orthant_float, 1),
+                             (skew_cone, skew_float, 1),
+                             *((g.rational, g, 10) for g in golden)):
         for _ in range(15):
-            (a, fa), (b, fb) = both(draw(rng.randint(1, 5))), \
-                both(draw(rng.randint(1, 3)))
+            (a, fa), (b, fb) = both(draw(rng.randint(1, 5), den)), \
+                both(draw(rng.randint(1, 3), den))
             for weak in (False, True):
                 assert min_elements(a, cone, weak, 0) == \
                     min_elements(fa, fcone, weak, 0.0)
@@ -518,16 +540,20 @@ def test_exact_ints_and_float_margins_answer_alike(orthant, skew_cone,
                 fq = tuple(map(float, q))
                 assert point_margin_with_witness(q, a, cone, 0) == \
                     point_margin_with_witness(fq, fa, fcone, 0.0)
+                assert type(point_margin(fq, fa, fcone)) is float
                 for eps, strict, distinct in itertools.product(
-                        (0, F(1, 2)), (False, True), (False, True)):
+                        (0, F(1, 2), F(0.1)), (False, True), (False, True)):
                     assert list(dominators(a, cone, q, eps, 0, strict,
                                            distinct)) == \
                         list(dominators(fa, fcone, fq, float(eps), 0.0,
                                         strict, distinct))
                     cases += 1
-            for kind, eps in itertools.product(RELATION_KINDS, (0, F(1, 2))):
+            for kind, eps in itertools.product(RELATION_KINDS,
+                                               (0, F(1, 2), F(0.1))):
                 assert set_relation(a, b, cone, kind, eps, 0) == \
                     set_relation(fa, fb, fcone, kind, float(eps), 0.0)
+        assert type(point_margin((0.1, 0.2), polytope(fa.points),
+                                 fcone)) is float
     assert cases > 1000
 
 

@@ -22,8 +22,9 @@ from setopt.instance import (Decision, Instance, build_instance,
                              instance_distance, instance_distance_sq, load,
                              make_example, save, to_json_dict)
 from setopt.setrelations import LOWER_STRONG, set_relation
-from setopt.solver_direct import TYPE_TWO, WEAK, solve_direct
-from setopt.vectorizer import VP_MIN, VP_WEAK, _table, membership_vp
+from setopt.solver_direct import TYPE_ONE, TYPE_TWO, WEAK, solve_direct
+from setopt.vectorizer import (VP_MIN, VP_WEAK, _table, brute_force_vp,
+                               membership_vp)
 
 
 def test_round_trip_exact(tmp_path):
@@ -603,10 +604,10 @@ def test_mixed_images_read_finite_pools_by_position():
 
 
 def test_float_shift_of_exact_polytopes_stays_with_the_program():
-    # at an explicit tol 0 a float eps shifts the target in floats inside
-    # the strong-slack program, which exact bounds cannot stand in for:
-    # the strong bit stays the program's, so the min kind finds the
-    # distinct witness its table promised
+    # at an explicit tol 0 a float eps is read as its exact rational,
+    # by the vertex bounds and by the strong-slack program alike: the
+    # strong bit is the program's, so the min kind finds the distinct
+    # witness its table promised
     for seed, n, g in ((5, 1, 3), (7, 2, 2), (9, 1, 4)):
         inst = make_example("convex_polyhedral",
                             {"seed": seed, "n": n, "g": g}, exact=True)
@@ -618,10 +619,10 @@ def test_float_shift_of_exact_polytopes_stays_with_the_program():
 
 
 def test_a_float_eps_and_the_equal_rational_keep_apart():
-    # at tol 0 a polytope's strong-slack program shifts by a float eps in
-    # floats, so a float eps and the equal rational are two questions
-    # whose stored slacks must not meet: each answer is a fresh
-    # instance's, whichever of the two was asked first
+    # at tol 0 a float eps is read as its exact rational, so a float eps
+    # and the equal rational are one question and share one stored
+    # slack: each answer is a fresh instance's, whichever of the two was
+    # asked first
     def fresh():
         return make_example("convex_polyhedral",
                             {"seed": seed, "n": 2, "g": 2}, exact=True)
@@ -637,6 +638,55 @@ def test_a_float_eps_and_the_equal_rational_keep_apart():
         if (seed, eps) == (1, F(1, 2)):
             assert solve_direct(fresh(), TYPE_TWO, eps, tol=0).members == (
                 "0;0", "0;1")
+        inst = fresh()
+        for j, g in itertools.product(range(len(inst.images)),
+                                      range(len(inst._points))):
+            assert inst.strong_slack(j, g, float(eps), 0) is \
+                inst.strong_slack(j, g, eps, 0)
+
+
+def _twin(inst):
+    """``inst`` with every number read as its exact rational: the
+    ``Fraction`` of each float of its own cone, decisions and images."""
+    def exact(v):
+        return tuple(map(F, v))
+    return build_instance(
+        validate_cone(map(exact, inst.cone.rows), exact(inst.cone.e)),
+        [(d.label, exact(d.x)) for d in inst.decisions],
+        [(finite_set if img.is_finite else polytope)(map(exact, img.points))
+         for img in inst.images], exact=True)
+
+
+def test_float_data_at_tol_0_answers_as_its_exact_twin(boundary_cases):
+    # at tol 0 every number is read as its exact rational, so float data
+    # answers as its exact twin: the same members, and the same numbers as
+    # rationals (a float equals a Fraction only at the same value).  When
+    # float kernels were compared with 0 at tol 0, 64 of these 150
+    # convex-graph verdicts differed from the twin's, with -inf set margins
+    for seed in range(30):
+        inst = make_example("convex_polyhedral", {"seed": seed, "g": 4,
+                                                  "n": 1})
+        twin = _twin(inst)
+        assert twin.images == inst.images  # pruned alike
+        for concept in (WEAK, TYPE_ONE, TYPE_TWO):
+            assert solve_direct(inst, concept, 0, 0.0) == \
+                solve_direct(twin, concept, 0, 0)
+        for kind in (VP_WEAK, VP_MIN):
+            assert membership_vp(inst, 2, 0, kind, 0.0) == \
+                membership_vp(twin, 2, 0, kind, 0)
+    # a few ulps from the boundary of the shifted test, finite images
+    for cone, q, y, eps, _ in boundary_cases:
+        inst = build_instance(cone, [("a", (0.0,)), ("b", (1.0,))],
+                              [finite_set([q]), finite_set([y, q])])
+        twin = _twin(inst)
+        for concept in (WEAK, TYPE_ONE, TYPE_TWO):
+            assert solve_direct(inst, concept, eps, 0.0) == \
+                solve_direct(twin, concept, F(eps), 0)
+        for kind in (VP_WEAK, VP_MIN):
+            assert membership_vp(inst, 1, eps, kind, 0.0) == \
+                membership_vp(twin, 1, F(eps), kind, 0)
+            assert brute_force_vp(inst, 1, eps, kind, 0.0).members == \
+                brute_force_vp(twin, 1, F(eps), kind, 0).members
 
 
 def test_equal_points_of_two_images_are_solved_once(orthant, monkeypatch):

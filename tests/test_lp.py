@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 import setopt.lp
+from setopt.arith import DEFAULT_TOL
+from setopt.cone import in_dual_cone
 from setopt.errors import DimMismatch, ValidationError
 from setopt.lp import LinearProgram, check_point, lp_feasible, lp_maximize
 
@@ -82,6 +84,9 @@ def test_out_of_range_tol_rejected():
             lp_maximize(prog, tol=tol)
         with pytest.raises(ValidationError, match="tol must be"):
             lp_feasible(prog, tol=tol)
+        # a NaN tol let check_point accept every point, -1 none
+        with pytest.raises(ValidationError, match="tol must be"):
+            check_point(prog, (F(1),), tol=tol)
 
 
 def test_negative_lower_bounds_shift():
@@ -208,11 +213,39 @@ def test_determinism():
         assert (a.status, a.value, a.point) == (b.status, b.value, b.point)
 
 
-def test_float_mode_tolerance():
+def test_float_mode_tolerance(orthant, monkeypatch):
     prog = LinearProgram(objective=(1.0, 0.0), eq_lhs=((1.0, 1.0),),
                          eq_rhs=(1.0,), lower_bounds=(0.0, 0.0))
     out = lp_maximize(prog)
     assert out.is_optimal and abs(out.value - 1.0) < 1e-9
+    # at tol 0 every number is read as its exact rational, so float data
+    # pivots on integers and the dense tableau is never built: its float
+    # residuals compared with 0 declared x = (0.1, 0.2), x >= 0 infeasible
+    dense = setopt.lp._Dense
+    built = []
+    monkeypatch.setattr(setopt.lp, "_Dense",
+                        lambda tol: built.append(tol) or dense(tol))
+    for rows in (((1, 0), (0, 1)), ((F(1), F(0)), (F(0), F(1))),
+                 ((1.0, 0.0), (0.0, 1.0))):
+        found = LinearProgram(objective=(0.0, 0.0), eq_lhs=rows,
+                              eq_rhs=(0.1, 0.2), lower_bounds=(0, 0))
+        for tol in (0, 0.0):
+            out = lp_feasible(found, tol)
+            assert out.feasible and out.infeasibility == 0
+            assert out.point == (F(0.1), F(0.2))
+            assert check_point(found, out.point, tol)
+            best = lp_maximize(LinearProgram(
+                objective=(1.0, 1.0), eq_lhs=rows, eq_rhs=(0.1, 0.2),
+                lower_bounds=(0, 0)), tol)
+            assert best.value == F(0.1) + F(0.2) and best.point == out.point
+            assert in_dual_cone((0.1, 0.2), orthant, tol)
+    assert built == []
+    assert lp_feasible(found).feasible and built == [DEFAULT_TOL]
+    # check_point reads exactly at tol 0 too: -9 * 0.1 + 0.9 is 0 in
+    # floats and -2^-55 as rationals
+    row = LinearProgram(objective=(0, 0), ge_lhs=((-9, 1),), ge_rhs=(0,))
+    assert not check_point(row, (0.1, 0.9), 0)
+    assert check_point(row, (0.1, 0.9), 1e-9)
 
 
 def test_iteration_cap_raises(monkeypatch):

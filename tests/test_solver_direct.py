@@ -4,15 +4,19 @@ from fractions import Fraction as F
 import pytest
 
 import setopt.imagesets
+from setopt.cone import r_epsilon
 from setopt.errors import ValidationError
-from setopt.imagesets import finite_set
-from setopt.instance import Decision, build_instance, make_example
+from setopt.imagesets import (cover_by_sq_radius, covering_number_internal,
+                              finite_set)
+from setopt.instance import (Decision, build_instance, discretize_map,
+                             make_example)
 from setopt.lp import lp_maximize
 from setopt.setrelations import (LOWER, LOWER_STRICT, LOWER_STRONG,
                                  set_relation, verify_certificate)
 from setopt.solver_direct import (TYPE_ONE, TYPE_TWO, WEAK, solve_direct,
                                   weak_threshold)
-from setopt.vectorizer import VP_MIN, VP_WEAK, membership_vp, minimal_p
+from setopt.vectorizer import (VP_MIN, VP_WEAK, brute_force_vp,
+                               covering_p_bound, membership_vp, minimal_p)
 
 
 def _oracle_strictly_dominated(inst, j, eps):
@@ -196,9 +200,29 @@ def test_intersection_law():
 
 
 def test_eps_validation():
+    # an eps of NaN once made the covering search loop for ever, and was
+    # answered by the solvers; a negative one was answered () by the
+    # oracle.  Every entry point refuses an eps (a squared radius) that is
+    # not a finite number >= 0, or > 0 where a covering radius needs it
     inst = make_example("mfdvp", exact=True)
-    with pytest.raises(ValidationError):
-        solve_direct(inst, WEAK, F(-1))
+    img = inst.images[0]
+    asks = [lambda e: solve_direct(inst, WEAK, e),
+            lambda e: membership_vp(inst, 1, e),
+            lambda e: minimal_p(inst, "0", e),
+            lambda e: set_relation(img, img, inst.cone, LOWER, e),
+            lambda e: brute_force_vp(inst, 1, e),
+            lambda e: covering_number_internal(img, e),
+            lambda e: discretize_map(inst, e),
+            lambda e: covering_p_bound(inst, "0", e),
+            lambda e: r_epsilon(inst.cone, e),
+            lambda e: cover_by_sq_radius(img.points, e)]
+    for ask in asks:
+        for eps in (float("nan"), float("inf"), -1, F(-1), float("-inf")):
+            with pytest.raises(ValidationError, match="must be finite"):
+                ask(eps)
+    for ask in asks[5:9]:
+        with pytest.raises(ValidationError, match="must be finite and posi"):
+            ask(0)
     with pytest.raises(ValidationError):
         solve_direct(inst, "bogus", 0)
 
